@@ -6,7 +6,9 @@ strictly fractional exponent:
 * single power   (j*w)**a           -> w**a * [cos(a*pi/2) + j*sin(a*pi/2)]
 * affine power   a*(j*w)**a + b     -> (b + a*w**a*cos(a*pi/2)) + j*a*w**a*sin(a*pi/2)
 
-Every function here is a direct trigonometric formula.  The test suite
+Every function here is a direct trigonometric formula built on
+``j_pow``, the one place the unit value j**e = exp(j*e*pi/2) is
+computed; the transfer-function evaluator uses it too.  The test suite
 keeps them honest against roots.principal_pow, which computes the same
 quantities from the polar decomposition.
 """
@@ -18,6 +20,29 @@ from dataclasses import dataclass
 
 from .complexmath import Complex
 
+# j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def j_pow(e: float) -> tuple[float, float]:
+    """(cos(e*pi/2), sin(e*pi/2)), the parts of j**e = exp(j*e*pi/2).
+
+    The angle is reduced exactly with fmod(e, 4) first; an integer
+    remainder returns the exact unit value for that quarter turn.
+    """
+    turns = math.fmod(e, 4.0)
+    if turns.is_integer():
+        return _QUARTER_TURNS[int(turns)]
+    half = turns * math.pi / 2.0
+    return math.cos(half), math.sin(half)
+
+
+def _check_omega_alpha(omega: float, alpha: float) -> None:
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+
 
 @dataclass(frozen=True)
 class CaseIParams:
@@ -27,10 +52,7 @@ class CaseIParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega!r}")
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
+        _check_omega_alpha(self.omega, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -47,17 +69,14 @@ class CaseIIParams:
             raise ValueError(f"gain a must be finite and > 0, got {self.a!r}")
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"offset b must be finite and > 0, got {self.b!r}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega!r}")
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
+        _check_omega_alpha(self.omega, self.alpha)
 
 
 def jomega_pow(p: CaseIParams) -> Complex:
     """(j*omega)**alpha as w**a * [cos(a*pi/2) + j*sin(a*pi/2)]."""
     r = p.omega**p.alpha
-    half = p.alpha * math.pi / 2.0
-    return Complex(r * math.cos(half), r * math.sin(half))
+    cos, sin = j_pow(p.alpha)
+    return Complex(r * cos, r * sin)
 
 
 def jomega_pow_mag(p: CaseIParams) -> float:
@@ -73,8 +92,8 @@ def jomega_pow_arg(p: CaseIParams) -> float:
 def affine_jomega(p: CaseIIParams) -> Complex:
     """a*(j*omega)**alpha + b with real and imaginary parts clustered."""
     t = p.a * p.omega**p.alpha
-    half = p.alpha * math.pi / 2.0
-    return Complex(p.b + t * math.cos(half), t * math.sin(half))
+    cos, sin = j_pow(p.alpha)
+    return Complex(p.b + t * cos, t * sin)
 
 
 def affine_mag(p: CaseIIParams) -> float:
@@ -86,14 +105,13 @@ def affine_mag(p: CaseIIParams) -> float:
     affine_mag_omega2_cross_term for the wrong-exponent variant).
     """
     t = p.a * p.omega**p.alpha
-    return math.sqrt(p.b * p.b + t * t + 2.0 * p.b * t * math.cos(p.alpha * math.pi / 2.0))
+    return math.sqrt(p.b * p.b + t * t + 2.0 * p.b * t * j_pow(p.alpha)[0])
 
 
 def affine_arg(p: CaseIIParams) -> float:
     """arg (a*(j*omega)**alpha + b), always in (0, pi/2) since a, b > 0."""
-    t = p.a * p.omega**p.alpha
-    half = p.alpha * math.pi / 2.0
-    return math.atan(t * math.sin(half) / (p.b + t * math.cos(half)))
+    z = affine_jomega(p)
+    return math.atan(z.im / z.re)
 
 
 def affine_mag_omega2_cross_term(p: CaseIIParams) -> float:
@@ -109,5 +127,5 @@ def affine_mag_omega2_cross_term(p: CaseIIParams) -> float:
     return math.sqrt(
         p.b * p.b
         + p.a * p.a * w_alpha * w_alpha
-        + 2.0 * p.a * p.b * p.omega * p.omega * math.cos(p.alpha * math.pi / 2.0)
+        + 2.0 * p.a * p.b * p.omega * p.omega * j_pow(p.alpha)[0]
     )

@@ -78,7 +78,10 @@ def argument(s: Complex) -> float:
     """
     if s.is_zero():
         raise ValueError("argument of zero is undefined")
-    phi = math.atan2(s.im, s.re)
-    if phi == -math.pi:
-        phi = math.pi
-    return phi
+    return principal_angle(s.re, s.im)
+
+
+def principal_angle(re: float, im: float) -> float:
+    """atan2(im, re) with -pi folded to +pi, so the angle lies in (-pi, pi]."""
+    phi = math.atan2(im, re)
+    return math.pi if phi == -math.pi else phi

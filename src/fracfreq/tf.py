@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .complexmath import Complex, add, div, magnitude, mul
-from .roots import principal_pow
+from .closed_form import j_pow
+from .complexmath import Complex
 
 # |D(j*omega)| below this aborts evaluation rather than dividing.
 DENOMINATOR_EPS = 1e-300
@@ -101,6 +102,19 @@ class FracPoly:
     @classmethod
     def constant(cls, value: float) -> "FracPoly":
         return cls.from_terms([FracTerm(value, 0.0)])
+
+    @cached_property
+    def jomega_terms(self) -> tuple[tuple[float, float, float], ...]:
+        """(e, c*cos(e*pi/2), c*sin(e*pi/2)) per term, computed once.
+
+        On s = j*omega the term c*s**e is omega**e * c*j**e, and c*j**e
+        does not depend on omega.
+        """
+        out = []
+        for t in self.terms:
+            cos, sin = j_pow(t.exponent)
+            out.append((t.exponent, t.coeff * cos, t.coeff * sin))
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return self.terms == (_ZERO_TERM,)
@@ -310,15 +324,51 @@ def pretty_print(tf: FracTF) -> str:
 # --- evaluator -----------------------------------------------------------
 
 
-def eval_poly(p: FracPoly, omega: float) -> Complex:
-    """Value of the polynomial at s = j*omega, accumulated term by term."""
+def _check_omega(omega: float) -> None:
     if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
-    jw = Complex(0.0, float(omega))
-    acc = Complex(0.0, 0.0)
-    for t in p.terms:
-        acc = add(acc, mul(Complex(t.coeff, 0.0), principal_pow(jw, t.exponent)))
-    return acc
+
+
+def _require_finite(re: float, im: float) -> None:
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"complex parts must be finite, got re={re!r}, im={im!r}")
+
+
+def _poly_at(terms: tuple[tuple[float, float, float], ...], omega: float) -> tuple[float, float]:
+    """(re, im) of sum w**e * (c*j**e) over FracPoly.jomega_terms."""
+    re = im = 0.0
+    for e, c_re, c_im in terms:
+        r = omega**e
+        re += r * c_re
+        im += r * c_im
+    _require_finite(re, im)
+    return re, im
+
+
+def eval_poly(p: FracPoly, omega: float) -> Complex:
+    """Value of the polynomial at s = j*omega, accumulated term by term."""
+    _check_omega(omega)
+    return Complex(*_poly_at(p.jomega_terms, omega))
+
+
+def eval_tf_parts(tf: FracTF, omega: float) -> tuple[float, float]:
+    """(re, im) of N(j*omega)/D(j*omega) by conjugate division, in plain floats.
+
+    The one per-point evaluator: eval_tf and the response sweep both
+    call it.  Raises EvaluationError (carrying omega) when the
+    denominator's magnitude falls below DENOMINATOR_EPS, and ValueError
+    when any part overflows.
+    """
+    _check_omega(omega)
+    n_re, n_im = _poly_at(tf.numerator.jomega_terms, omega)
+    d_re, d_im = _poly_at(tf.denominator.jomega_terms, omega)
+    if math.hypot(d_re, d_im) < DENOMINATOR_EPS:
+        raise EvaluationError("denominator of transfer function vanishes", omega)
+    denom = d_re * d_re + d_im * d_im
+    re = (n_re * d_re + n_im * d_im) / denom
+    im = (n_im * d_re - n_re * d_im) / denom
+    _require_finite(re, im)
+    return re, im
 
 
 def eval_tf(tf: FracTF, omega: float) -> Complex:
@@ -327,8 +377,4 @@ def eval_tf(tf: FracTF, omega: float) -> Complex:
     Raises EvaluationError (carrying omega) when the denominator's
     magnitude falls below DENOMINATOR_EPS.
     """
-    numerator = eval_poly(tf.numerator, omega)
-    denominator = eval_poly(tf.denominator, omega)
-    if magnitude(denominator) < DENOMINATOR_EPS:
-        raise EvaluationError("denominator of transfer function vanishes", omega)
-    return div(numerator, denominator)
+    return Complex(*eval_tf_parts(tf, omega))

@@ -5,7 +5,10 @@ Complex equality is always tolerance based (componentwise, absolute
 """
 
 import math
+import os
+from pathlib import Path
 
+import fracfreq
 from fracfreq import Complex, mul
 
 
@@ -36,3 +39,14 @@ def power_by_mul(c: Complex, n: int) -> Complex:
 
 def diff(a: Complex, b: Complex) -> Complex:
     return Complex(a.re - b.re, a.im - b.im)
+
+
+def child_env() -> dict[str, str]:
+    """Environment under which `python -m fracfreq` imports the package under test.
+
+    pytest's `pythonpath` setting reaches only the test process, so a
+    checkout without an install must hand the source root to children.
+    """
+    src = str(Path(fracfreq.__file__).resolve().parent.parent)
+    parts = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(parts)}

@@ -37,7 +37,7 @@ from fracfreq import (
     principal_pow,
     sweep,
 )
-from helpers import diff, power_by_mul
+from helpers import child_env, diff, power_by_mul
 
 OMEGAS = [10.0 ** (-3.0 + 6.0 * i / 49.0) for i in range(50)]
 ALPHAS = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -197,7 +197,7 @@ def test_cli_end_to_end():
     script = shutil.which("fracfreq")
     cmd = [script] if script else [sys.executable, "-m", "fracfreq"]
     runs = [
-        subprocess.run(cmd + ["--tf", "s^0.5"], capture_output=True, timeout=120)
+        subprocess.run(cmd + ["--tf", "s^0.5"], capture_output=True, timeout=120, env=child_env())
         for _ in range(2)
     ]
     lines = runs[0].stdout.decode().splitlines()

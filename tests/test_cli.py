@@ -6,6 +6,7 @@ import pytest
 
 from fracfreq import CSV_HEADER
 from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main
+from helpers import child_env
 
 
 def run_main(argv, capsysbinary):
@@ -61,6 +62,13 @@ class TestMain:
         assert out == b""
         assert "omega=0.01" in err
 
+    def test_eval_error_at_quarter_turn_pole(self, capsysbinary):
+        argv = ["--tf", "1/(s^2+1)", "--wmin", "0.1", "--wmax", "10", "--ppd", "1"]
+        code, out, err = run_main(argv, capsysbinary)
+        assert code == EXIT_EVAL_ERROR
+        assert out == b""
+        assert "omega=1.0" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -83,6 +91,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fracfreq", "--tf", "10000/s^0.5", "--ppd", "5"],
             capture_output=True,
             timeout=60,
+            env=child_env(),
         )
         assert result.returncode == 0
         lines = result.stdout.decode().splitlines()
@@ -94,6 +103,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fracfreq", "--tf", "(s"],
             capture_output=True,
             timeout=60,
+            env=child_env(),
         )
         assert result.returncode == 2
         assert b"offset 2" in result.stderr

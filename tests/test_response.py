@@ -103,6 +103,12 @@ class TestSweep:
         assert p.mag_db == -math.inf
         assert p.phase_rad == 0.0
 
+    def test_exact_zero_at_quarter_turn(self):
+        p = response_at(parse_tf("s^4-1"), 1.0)
+        assert p.mag_linear == 0.0
+        assert p.mag_db == -math.inf
+        assert p.phase_rad == 0.0
+
     def test_abort_carries_first_bad_frequency(self):
         with pytest.raises(EvaluationError) as excinfo:
             sweep(parse_tf("1/1e-310"), DECADE_GRID)

@@ -12,6 +12,7 @@ from fracfreq import (
     FracPoly,
     FracTF,
     FracTerm,
+    FrequencyGrid,
     ParseError,
     affine_arg,
     affine_jomega,
@@ -25,6 +26,8 @@ from fracfreq import (
     parse_tf,
     pretty_print,
     principal_pow,
+    response_at,
+    sweep,
 )
 from helpers import close, complex_close
 
@@ -201,6 +204,15 @@ class TestEvalPoly:
         with pytest.raises(ValueError):
             eval_poly(FracPoly.constant(1.0), omega)
 
+    @pytest.mark.parametrize("omega", [1e-3, 0.37, 1.0, 3.0, 1e3])
+    @pytest.mark.parametrize(
+        "exponent,unit", [(1, (0, 1)), (2, (-1, 0)), (3, (0, -1)), (4, (1, 0)), (5, (0, 1))]
+    )
+    def test_integer_power_is_exact_quarter_turn(self, exponent, unit, omega):
+        got = eval_poly(parse_tf(f"s^{exponent}").numerator, omega)
+        r = omega ** float(exponent)
+        assert got == Complex(unit[0] * r, unit[1] * r)
+
 
 class TestEvalTF:
     def test_fractional_capacitor_at_unit_frequency(self):
@@ -215,6 +227,16 @@ class TestEvalTF:
 
     def test_identity(self):
         assert eval_tf(parse_tf("1/1"), 0.37) == Complex(1, 0)
+
+    def test_denominator_zero_at_quarter_turn(self):
+        with pytest.raises(EvaluationError) as excinfo:
+            eval_tf(parse_tf("1/(s^2+1)"), 1.0)
+        assert excinfo.value.omega == 1.0
+
+    @pytest.mark.parametrize("text", ["1e300*s^2", "1/(1e300*s^2)", "1e300/1e-10"])
+    def test_non_finite_part_rejected(self, text):
+        with pytest.raises(ValueError):
+            eval_tf(parse_tf(text), 1e10)
 
     def test_vanishing_denominator(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -243,3 +265,47 @@ class TestEvalTF:
         p = CaseIIParams(a, b, omega, alpha)
         assert close(magnitude(value), affine_mag(p))
         assert close(argument(value), affine_arg(p), rel=0.0, abs_tol=1e-12)
+
+
+def oracle_poly(p: FracPoly, omega: float) -> tuple[Complex, float]:
+    """Sum of c*(j*omega)**e through the polar oracle, and the sum of |terms|."""
+    total, scale = Complex(0.0, 0.0), 0.0
+    for t in p.terms:
+        term = mul(Complex(t.coeff), principal_pow(Complex(0.0, omega), t.exponent))
+        total = Complex(total.re + term.re, total.im + term.im)
+        scale += magnitude(term)
+    return total, scale
+
+
+kernel_exponents = st.one_of(
+    st.integers(min_value=0, max_value=6).map(float),
+    st.integers(min_value=0, max_value=12).map(lambda k: k / 2.0),
+    st.floats(min_value=0.0, max_value=6.0),
+)
+kernel_polys = st.lists(st.builds(FracTerm, coefficients, kernel_exponents), min_size=1, max_size=6).map(
+    FracPoly.from_terms
+)
+kernel_omegas = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestKernelAgainstOracle:
+    @given(kernel_polys, kernel_omegas)
+    def test_eval_poly_matches_polar_oracle(self, p, omega):
+        got = eval_poly(p, omega)
+        want, scale = oracle_poly(p, omega)
+        # 1e-12 relative to |sum|, scaled by the condition sum|terms| / |sum|.
+        assert math.hypot(got.re - want.re, got.im - want.im) <= 1e-12 * scale
+
+    @given(kernel_polys, kernel_polys.filter(lambda p: not p.is_zero()), kernel_omegas, st.integers(1, 4))
+    def test_sweep_is_response_at_pointwise(self, num, den, wmin, ppd):
+        tf = FracTF(num, den)
+        grid = FrequencyGrid(wmin, wmin * 100.0, ppd)
+        # Failures must match too, including the conjugate division's
+        # ZeroDivisionError when |D|**2 underflows (ROADMAP item 3).
+        try:
+            expected = [response_at(tf, omega) for omega in grid.points()]
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                sweep(tf, grid)
+            return
+        assert sweep(tf, grid) == expected
