@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from .complexmath import Complex
 
 # j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
-_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
-def j_pow(e: float) -> tuple[float, float]:
-    """(cos(e*pi/2), sin(e*pi/2)), the parts of j**e = exp(j*e*pi/2).
+def j_pow(e: float) -> complex:
+    """j**e = exp(j*e*pi/2) = cos(e*pi/2) + j*sin(e*pi/2).
 
     The angle is reduced exactly with fmod(e, 4) first; an integer
     remainder returns the exact unit value for that quarter turn.
@@ -34,7 +34,7 @@ def j_pow(e: float) -> tuple[float, float]:
     if turns.is_integer():
         return _QUARTER_TURNS[int(turns)]
     half = turns * math.pi / 2.0
-    return math.cos(half), math.sin(half)
+    return complex(math.cos(half), math.sin(half))
 
 
 def _check_omega_alpha(omega: float, alpha: float) -> None:
@@ -74,9 +74,8 @@ class CaseIIParams:
 
 def jomega_pow(p: CaseIParams) -> Complex:
     """(j*omega)**alpha as w**a * [cos(a*pi/2) + j*sin(a*pi/2)]."""
-    r = p.omega**p.alpha
-    cos, sin = j_pow(p.alpha)
-    return Complex(r * cos, r * sin)
+    z = p.omega**p.alpha * j_pow(p.alpha)
+    return Complex(z.real, z.imag)
 
 
 def jomega_pow_mag(p: CaseIParams) -> float:
@@ -91,9 +90,8 @@ def jomega_pow_arg(p: CaseIParams) -> float:
 
 def affine_jomega(p: CaseIIParams) -> Complex:
     """a*(j*omega)**alpha + b with real and imaginary parts clustered."""
-    t = p.a * p.omega**p.alpha
-    cos, sin = j_pow(p.alpha)
-    return Complex(p.b + t * cos, t * sin)
+    z = p.b + p.a * p.omega**p.alpha * j_pow(p.alpha)
+    return Complex(z.real, z.imag)
 
 
 def affine_mag(p: CaseIIParams) -> float:
@@ -105,7 +103,7 @@ def affine_mag(p: CaseIIParams) -> float:
     affine_mag_omega2_cross_term for the wrong-exponent variant).
     """
     t = p.a * p.omega**p.alpha
-    return math.sqrt(p.b * p.b + t * t + 2.0 * p.b * t * j_pow(p.alpha)[0])
+    return math.sqrt(p.b * p.b + t * t + 2.0 * p.b * t * j_pow(p.alpha).real)
 
 
 def affine_arg(p: CaseIIParams) -> float:
@@ -127,5 +125,5 @@ def affine_mag_omega2_cross_term(p: CaseIIParams) -> float:
     return math.sqrt(
         p.b * p.b
         + p.a * p.a * w_alpha * w_alpha
-        + 2.0 * p.a * p.b * p.omega * p.omega * j_pow(p.alpha)[0]
+        + 2.0 * p.a * p.b * p.omega * p.omega * j_pow(p.alpha).real
     )

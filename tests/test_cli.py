@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfreq import CSV_HEADER
 from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main
-from helpers import child_env
+from helpers import child_env, close
 
 
 def run_main(argv, capsysbinary):
@@ -70,6 +74,33 @@ class TestMain:
         assert "omega=1.0" in err
 
     @pytest.mark.parametrize(
+        "text,wmin,wmax,mag",
+        [("1/s^170", "0.1", "1", 1e170), ("1/s^200", "10", "20", 1e-200)],
+    )
+    def test_extreme_exponent_evaluates(self, text, wmin, wmax, mag, capsysbinary):
+        argv = ["--tf", text, "--wmin", wmin, "--wmax", wmax, "--ppd", "1"]
+        code, out, err = run_main(argv, capsysbinary)
+        assert code == EXIT_OK
+        assert err == ""
+        first = [float(v) for v in out.decode().splitlines()[1].split(",")]
+        assert close(first[1], mag, abs_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "text,wmin,wmax,omega",
+        [
+            ("1/s^200", "10", "100", "omega=100.0"),
+            ("s^2", "1e200", "1e201", "omega=1e+200"),
+            ("1e300*s^2", "1e10", "1e11", "omega=10000000000.0"),
+        ],
+    )
+    def test_overflow_exits_3(self, text, wmin, wmax, omega, capsysbinary):
+        argv = ["--tf", text, "--wmin", wmin, "--wmax", wmax, "--ppd", "1"]
+        code, out, err = run_main(argv, capsysbinary)
+        assert code == EXIT_EVAL_ERROR
+        assert out == b""
+        assert omega in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             [],
@@ -83,6 +114,47 @@ class TestMain:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+# Literals include ones that overflow or underflow a double.
+literals = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "1", "2.5", ".5", "1e308", "1e400", "1e-400", "9" * 400]),
+)
+factor_texts = st.one_of(literals, st.just("s"), literals.map("s^{}".format))
+term_texts = st.lists(factor_texts, min_size=1, max_size=3).map("*".join)
+
+
+@st.composite
+def poly_texts(draw):
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(term_texts)
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from("+-")) + draw(term_texts)
+    depth = draw(st.integers(0, 2))
+    return "(" * depth + text + ")" * depth
+
+
+tf_texts = st.one_of(
+    poly_texts(),
+    st.builds("{}/{}".format, poly_texts(), poly_texts()),
+    st.text(alphabet="0123456789.eE+-*/^()s ", max_size=20),
+)
+bounds = st.floats(min_value=1e-300, max_value=1e300)
+
+
+class TestExitContract:
+    @settings(deadline=None)
+    @given(tf_texts, bounds, bounds, st.integers(1, 3))
+    def test_every_input_exits_0_2_or_3(self, text, w1, w2, ppd):
+        if w1 == w2:
+            return
+        wmin, wmax = sorted((w1, w2))
+        argv = [f"--tf={text}", f"--wmin={wmin!r}", f"--wmax={wmax!r}", f"--ppd={ppd}"]
+        out = io.TextIOWrapper(io.BytesIO())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_EVAL_ERROR)
+        assert (out.buffer.getvalue() != b"") == (code == EXIT_OK)
 
 
 class TestEntryPoint:

@@ -65,6 +65,14 @@ class TestDiv:
         q = div(Complex(-5, 10), Complex(3, 4))
         assert complex_close(q, Complex(1, 2))
 
+    def test_huge_divisor(self):
+        q = div(Complex(1, 0), Complex(1e200, 1e200))
+        assert complex_close(q, Complex(5e-201, -5e-201), abs_tol=0.0)
+
+    def test_tiny_divisor(self):
+        q = div(Complex(1, 0), Complex(1e-170, 0))
+        assert complex_close(q, Complex(1e170, 0), abs_tol=0.0)
+
     def test_division_by_zero(self):
         with pytest.raises(ValueError):
             div(Complex(1, 0), Complex(0, 0))

@@ -106,6 +106,12 @@ MALFORMED = [
     ("1/(s-s)", 2),
     ("1/(0.5-0.5)", 2),
     ("-(s+1)", 1),
+    ("1e400", 0),
+    ("s^1e400", 0),
+    ("1e200*1e200", 0),
+    ("s^1e308*s^1e308", 0),
+    ("s+2*1e400", 2),
+    ("1/(1e308*s+1e308*s)", 3),
 ]
 
 
@@ -238,6 +244,15 @@ class TestEvalTF:
         with pytest.raises(ValueError):
             eval_tf(parse_tf(text), 1e10)
 
+    @pytest.mark.parametrize(
+        "text,omega",
+        [("s^2", 1e200), ("1/s^200", 100.0), ("1e300*s^2", 1e10), ("1/(1e300*s^2)", 1e10)],
+    )
+    def test_overflow_is_evaluation_error(self, text, omega):
+        with pytest.raises(EvaluationError) as excinfo:
+            eval_tf(parse_tf(text), omega)
+        assert excinfo.value.omega == omega
+
     def test_vanishing_denominator(self):
         with pytest.raises(EvaluationError) as excinfo:
             eval_tf(parse_tf("1/1e-310"), 2.5)
@@ -300,12 +315,28 @@ class TestKernelAgainstOracle:
     def test_sweep_is_response_at_pointwise(self, num, den, wmin, ppd):
         tf = FracTF(num, den)
         grid = FrequencyGrid(wmin, wmin * 100.0, ppd)
-        # Failures must match too, including the conjugate division's
-        # ZeroDivisionError when |D|**2 underflows (ROADMAP item 3).
         try:
             expected = [response_at(tf, omega) for omega in grid.points()]
-        except (ArithmeticError, ValueError) as exc:
-            with pytest.raises(type(exc)):
+        except EvaluationError as exc:
+            with pytest.raises(EvaluationError) as excinfo:
                 sweep(tf, grid)
+            assert excinfo.value.omega == exc.omega
             return
         assert sweep(tf, grid) == expected
+
+
+class TestScaledDivision:
+    """|D| beyond ~1.3e154 or below ~1e-154 squares out of the double range."""
+
+    def test_huge_denominator(self):
+        p = response_at(parse_tf("1/s^20"), 1e8)
+        assert close(p.mag_db, -3200.0)
+        assert close(p.mag_linear, 1e-160)
+
+    def test_huge_numerator_and_denominator(self):
+        p = response_at(parse_tf("(s^20+1)/(s^20+2)"), 1e8)
+        assert close(p.mag_linear, 1.0)
+        assert close(p.phase_rad, 0.0, rel=0.0, abs_tol=1e-12)
+
+    def test_tiny_denominator(self):
+        assert complex_close(eval_tf(parse_tf("1/s^170"), 0.1), Complex(-1e170, 0.0))
