@@ -104,12 +104,13 @@ class FracPoly:
         return cls.from_terms([FracTerm(value, 0.0)])
 
     @cached_property
-    def jomega_terms(self) -> tuple[tuple[float, complex], ...]:
-        """(e, c*j**e) per term, computed once.
-
-        On s = j*omega the term c*s**e is omega**e * c*j**e, and c*j**e
-        does not depend on omega.
+    def jomega_terms(self) -> tuple[tuple[float, complex], ...] | None:
+        """(e, c*j**e) per term, computed once: c*s**e at s = j*omega is
+        omega**e * c*j**e.  None when some 0 < |c| < 2**-969, where the
+        parts of c*j**e can be subnormal and lose bits.
         """
+        if any(0.0 < abs(t.coeff) < 2.0**-969 for t in self.terms):
+            return None
         return tuple((t.exponent, t.coeff * j_pow(t.exponent)) for t in self.terms)
 
     def is_zero(self) -> bool:
@@ -333,8 +334,11 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
 
 
-def _poly_at(terms: tuple[tuple[float, complex], ...], omega: float) -> complex:
-    """Sum of omega**e * (c*j**e) over FracPoly.jomega_terms."""
+def _poly_at(p: FracPoly, omega: float) -> complex:
+    """p at s = j*omega: the sum of omega**e * c*j**e over its terms."""
+    terms = p.jomega_terms
+    if terms is None:  # c last: a tiny c then costs one rounding of the whole term
+        return sum(t.coeff * (omega**t.exponent * j_pow(t.exponent)) for t in p.terms)
     acc = 0j
     for e, cj in terms:
         acc += omega**e * cj
@@ -344,24 +348,24 @@ def _poly_at(terms: tuple[tuple[float, complex], ...], omega: float) -> complex:
 def eval_poly(p: FracPoly, omega: float) -> Complex:
     """Value of the polynomial at s = j*omega, accumulated term by term."""
     _check_omega(omega)
-    z = _poly_at(p.jomega_terms, omega)
+    z = _poly_at(p, omega)
     return Complex(z.real, z.imag)
 
 
 def _h_at(tf: FracTF, omega: float) -> complex:
     """N(j*omega)/D(j*omega) as a builtin complex.
 
-    The one per-point evaluator: eval_tf and the response sweep both
-    call it.  CPython's complex division is Smith's scaled method and
-    never forms |D|**2.  Raises EvaluationError (carrying omega) when an
-    omega**e overflows, when |D| is below DENOMINATOR_EPS or not finite,
-    or when the quotient is not finite.
+    The one per-point evaluator, under eval_tf and the sweep.  CPython's
+    complex division is Smith's scaled method and never forms |D|**2.
+    Raises EvaluationError (carrying omega) when an omega**e overflows,
+    when |D| is below DENOMINATOR_EPS or not finite, or when the
+    quotient is not finite.
     """
     _check_omega(omega)
     try:
-        d = _poly_at(tf.denominator.jomega_terms, omega)
+        d = _poly_at(tf.denominator, omega)
         if DENOMINATOR_EPS <= math.hypot(d.real, d.imag) < math.inf:
-            h = _poly_at(tf.numerator.jomega_terms, omega) / d
+            h = _poly_at(tf.numerator, omega) / d
             if math.isfinite(h.real) and math.isfinite(h.imag):
                 return h
     except OverflowError:

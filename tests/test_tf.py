@@ -311,6 +311,14 @@ class TestKernelAgainstOracle:
         # 1e-12 relative to |sum|, scaled by the condition sum|terms| / |sum|.
         assert math.hypot(got.re - want.re, got.im - want.im) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("c,e,omega", [(5e-324, 5.5, 1e3), (2.2250738585e-313, 1.5, 3.0)])
+    def test_subnormal_coefficient_matches_polar_oracle(self, c, e, omega):
+        # A subnormal c*j**e keeps a few bits; omega**e can scale the loss up to a normal result.
+        p = FracPoly.from_terms([FracTerm(c, e)])
+        got = eval_poly(p, omega)
+        want, scale = oracle_poly(p, omega)
+        assert math.hypot(got.re - want.re, got.im - want.im) <= 1e-12 * scale
+
     @given(kernel_polys, kernel_polys.filter(lambda p: not p.is_zero()), kernel_omegas, st.integers(1, 4))
     def test_sweep_is_response_at_pointwise(self, num, den, wmin, ppd):
         tf = FracTF(num, den)
