@@ -104,14 +104,11 @@ class FracPoly:
         return cls.from_terms([FracTerm(value, 0.0)])
 
     @cached_property
-    def jomega_terms(self) -> tuple[tuple[float, complex], ...] | None:
-        """(e, c*j**e) per term, computed once: c*s**e at s = j*omega is
-        omega**e * c*j**e.  None when some 0 < |c| < 2**-969, where the
-        parts of c*j**e can be subnormal and lose bits.
+    def jomega_terms(self) -> tuple[tuple[float, float, complex], ...]:
+        """(e, c, j**e) per term, computed once: c*s**e at s = j*omega is
+        c * (omega**e * j**e).
         """
-        if any(0.0 < abs(t.coeff) < 2.0**-969 for t in self.terms):
-            return None
-        return tuple((t.exponent, t.coeff * j_pow(t.exponent)) for t in self.terms)
+        return tuple((t.exponent, t.coeff, j_pow(t.exponent)) for t in self.terms)
 
     def is_zero(self) -> bool:
         return self.terms == (_ZERO_TERM,)
@@ -335,13 +332,11 @@ def _check_omega(omega: float) -> None:
 
 
 def _poly_at(p: FracPoly, omega: float) -> complex:
-    """p at s = j*omega: the sum of omega**e * c*j**e over its terms."""
-    terms = p.jomega_terms
-    if terms is None:  # c last: a tiny c then costs one rounding of the whole term
-        return sum(t.coeff * (omega**t.exponent * j_pow(t.exponent)) for t in p.terms)
+    """p at s = j*omega: the sum of c * (omega**e * j**e) over its terms,
+    c last, so a subnormal c costs one rounding of the whole term."""
     acc = 0j
-    for e, cj in terms:
-        acc += omega**e * cj
+    for e, c, jj in p.jomega_terms:
+        acc += c * (omega**e * jj)
     return acc
 
 
@@ -353,24 +348,26 @@ def eval_poly(p: FracPoly, omega: float) -> Complex:
 
 
 def _h_at(tf: FracTF, omega: float) -> complex:
-    """N(j*omega)/D(j*omega) as a builtin complex.
+    """N(j*omega)/D(j*omega) as a builtin complex; the one per-point evaluator.
 
-    The one per-point evaluator, under eval_tf and the sweep.  CPython's
-    complex division is Smith's scaled method and never forms |D|**2.
-    Raises EvaluationError (carrying omega) when an omega**e overflows,
-    when |D| is below DENOMINATOR_EPS or not finite, or when the
-    quotient is not finite.
+    CPython's complex division is Smith's scaled method and never forms
+    |D|**2.  Raises EvaluationError (carrying omega) when |D| is below
+    DENOMINATOR_EPS, or when an omega**e, |D| or the quotient is not finite.
     """
     _check_omega(omega)
+    fault = "a value overflows"
     try:
         d = _poly_at(tf.denominator, omega)
-        if DENOMINATOR_EPS <= math.hypot(d.real, d.imag) < math.inf:
+        d_mag = math.hypot(d.real, d.imag)
+        if d_mag < DENOMINATOR_EPS:
+            fault = "denominator vanishes"
+        elif d_mag < math.inf:
             h = _poly_at(tf.numerator, omega) / d
             if math.isfinite(h.real) and math.isfinite(h.imag):
                 return h
     except OverflowError:
         pass
-    raise EvaluationError("denominator vanishes or a value overflows", omega)
+    raise EvaluationError(fault, omega)
 
 
 def eval_tf(tf: FracTF, omega: float) -> Complex:

@@ -249,9 +249,14 @@ class TestEvalTF:
         [("s^2", 1e200), ("1/s^200", 100.0), ("1e300*s^2", 1e10), ("1/(1e300*s^2)", 1e10)],
     )
     def test_overflow_is_evaluation_error(self, text, omega):
-        with pytest.raises(EvaluationError) as excinfo:
+        with pytest.raises(EvaluationError, match="^a value overflows at omega=") as excinfo:
             eval_tf(parse_tf(text), omega)
         assert excinfo.value.omega == omega
+
+    @pytest.mark.parametrize("text,omega", [("1/(s^2+1)", 1.0), ("1/1e-310", 2.5)])
+    def test_pole_message_names_the_denominator(self, text, omega):
+        with pytest.raises(EvaluationError, match="^denominator vanishes at omega="):
+            eval_tf(parse_tf(text), omega)
 
     def test_vanishing_denominator(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -313,7 +318,7 @@ class TestKernelAgainstOracle:
 
     @pytest.mark.parametrize("c,e,omega", [(5e-324, 5.5, 1e3), (2.2250738585e-313, 1.5, 3.0)])
     def test_subnormal_coefficient_matches_polar_oracle(self, c, e, omega):
-        # A subnormal c*j**e keeps a few bits; omega**e can scale the loss up to a normal result.
+        # c*j**e formed first would be subnormal with a few bits, and omega**e would scale the loss up.
         p = FracPoly.from_terms([FracTerm(c, e)])
         got = eval_poly(p, omega)
         want, scale = oracle_poly(p, omega)
