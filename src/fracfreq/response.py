@@ -18,6 +18,9 @@ CSV_HEADER = "omega,mag_linear,mag_db,phase_rad,phase_deg"
 
 FORMATS = ("csv", "json")
 
+# Largest grid FrequencyGrid accepts; points() builds the whole list.
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -38,14 +41,24 @@ class FrequencyGrid:
             raise ValueError(
                 f"points_per_decade must be a positive integer, got {self.points_per_decade!r}"
             )
+        try:
+            samples = self._log_span()[2] + 1
+        except OverflowError:  # points_per_decade * decades is beyond a double
+            samples = math.inf
+        if samples > MAX_GRID_POINTS:
+            raise ValueError(f"grid would have more than {MAX_GRID_POINTS} samples")
+
+    def _log_span(self) -> tuple[float, float, int]:
+        """log10 of both endpoints and the interval count between them."""
+        lg0 = math.log10(self.omega_min)
+        lg1 = math.log10(self.omega_max)
+        return lg0, lg1, max(1, round((lg1 - lg0) * self.points_per_decade))
 
     def points(self) -> list[float]:
         """Ascending samples, endpoints exact; d decades at p points per
         decade yield d*p + 1 samples (interval count rounds to nearest
         when d*p is not integral)."""
-        lg0 = math.log10(self.omega_min)
-        lg1 = math.log10(self.omega_max)
-        intervals = max(1, round((lg1 - lg0) * self.points_per_decade))
+        lg0, lg1, intervals = self._log_span()
         out = [self.omega_min]
         for i in range(1, intervals):
             out.append(10.0 ** (lg0 + (lg1 - lg0) * i / intervals))

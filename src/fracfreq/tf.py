@@ -114,10 +114,13 @@ class FracPoly:
         return self.terms == (_ZERO_TERM,)
 
     def is_one(self) -> bool:
-        return self.terms == (FracTerm(1.0, 0.0),)
+        return self == _ONE
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+_ONE = FracPoly.constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -137,144 +140,81 @@ class FracTF:
 
 # --- lexer ---------------------------------------------------------------
 
+# A token is (kind, offset, text): kind "number" or "char" for a lexeme,
+# "end" with text "" for the end of input.  finditer skips whitespace.
 _TOKEN_RE = re.compile(
     r"""(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-      | (?P<s>s)
-      | (?P<punct>[-+*/^()])
-      | (?P<ws>\s+)
+      | (?P<char>[-+*/^()s])
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
-_PUNCT_KIND = {
-    "+": "plus",
-    "-": "minus",
-    "*": "star",
-    "/": "slash",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-    value: float = 0.0
-
-    def describe(self) -> str:
-        return "end of input" if self.kind == "eof" else f"'{self.text}'"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "number":
-            tokens.append(_Token("number", m.group(), pos, float(m.group())))
-        elif m.lastgroup == "s":
-            tokens.append(_Token("s", "s", pos))
-        elif m.lastgroup == "punct":
-            tokens.append(_Token(_PUNCT_KIND[m.group()], m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> list[tuple[str, int, str]]:
+    tokens = [(m.lastgroup, m.start(), m[0]) for m in _TOKEN_RE.finditer(text)]
+    for kind, pos, lexeme in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", pos)
+    return tokens + [("end", len(text), "")]
 
 
 # --- parser --------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._i = 0
+def _unexpected(what: str, token: tuple[str, int, str]) -> ParseError:
+    found = f"'{token[2]}'" if token[2] else "end of input"
+    return ParseError(f"expected {what}, found {found}", token[1])
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
 
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
+def _poly(tokens: list[tuple[str, int, str]], i: int) -> tuple[FracPoly, int]:
+    """Read the polynomial at tokens[i]; return it and the index after it.
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.describe()}", tok.pos)
-        return self._advance()
-
-    def tf(self) -> FracTF:
-        numerator = self.poly()
-        denominator = FracPoly.constant(1.0)
-        if self._peek().kind == "slash":
-            self._advance()
-            den_pos = self._peek().pos
-            denominator = self.poly()
-            if denominator.is_zero():
-                raise ParseError("denominator polynomial is zero", den_pos)
-            tok = self._peek()
-            if tok.kind != "eof":
-                raise ParseError(f"expected end of input, found {tok.describe()}", tok.pos)
-        else:
-            tok = self._peek()
-            if tok.kind != "eof":
-                raise ParseError(f"expected '/' or end of input, found {tok.describe()}", tok.pos)
-        return FracTF(numerator, denominator)
-
-    def poly(self) -> FracPoly:
-        if self._peek().kind == "lparen":
-            self._advance()
-            inner = self.poly()
-            self._expect("rparen", "')'")
-            return inner
-        start = self._peek().pos
-        terms = [self.term(self._leading_sign())]
-        while self._peek().kind in ("plus", "minus"):
-            sign = 1.0 if self._advance().kind == "plus" else -1.0
-            terms.append(self.term(sign))
+    Parentheses only wrap a whole polynomial, so the leading "(" are
+    counted and as many ")" consumed after the terms, without recursion.
+    """
+    depth = 0
+    while tokens[i][2] == "(":
+        depth += 1
+        i += 1
+    start = tokens[i][1]
+    terms = []
+    # The first term's sign is optional, every later term needs one.
+    while not terms or tokens[i][2] in ("+", "-"):
+        coeff, exponent = (-1.0 if tokens[i][2] == "-" else 1.0), 0.0
+        if tokens[i][2] in ("+", "-"):
+            i += 1
+        term_start = tokens[i][1]
+        while True:
+            kind, _, text = tokens[i]
+            if kind == "number":
+                coeff *= float(text)
+            elif text != "s":
+                raise _unexpected("number or 's'", tokens[i])
+            elif tokens[i + 1][2] != "^":
+                exponent += 1.0
+            elif tokens[i + 2][0] != "number":
+                raise _unexpected("number after '^'", tokens[i + 2])
+            else:
+                i += 2
+                exponent += float(tokens[i][2])
+            i += 1
+            if tokens[i][2] != "*":
+                break
+            i += 1
         try:
-            return FracPoly.from_terms(terms)
-        except ValueError:  # merged coefficients overflowed
-            raise ParseError("merged coefficient is not a finite double", start) from None
-
-    def _leading_sign(self) -> float:
-        kind = self._peek().kind
-        if kind == "plus":
-            self._advance()
-            return 1.0
-        if kind == "minus":
-            self._advance()
-            return -1.0
-        return 1.0
-
-    def term(self, sign: float) -> FracTerm:
-        start = self._peek().pos
-        coeff, exponent = self.factor(sign, 0.0)
-        while self._peek().kind == "star":
-            self._advance()
-            coeff, exponent = self.factor(coeff, exponent)
-        if not (math.isfinite(coeff) and math.isfinite(exponent)):
-            raise ParseError("coefficient or exponent is not a finite double", start)
-        return FracTerm(coeff, exponent)
-
-    def factor(self, coeff: float, exponent: float) -> tuple[float, float]:
-        tok = self._peek()
-        if tok.kind == "number":
-            self._advance()
-            return coeff * tok.value, exponent
-        if tok.kind == "s":
-            self._advance()
-            e = 1.0
-            if self._peek().kind == "caret":
-                self._advance()
-                e = self._expect("number", "number after '^'").value
-            return coeff, exponent + e
-        raise ParseError(f"expected number or 's', found {tok.describe()}", tok.pos)
+            terms.append(FracTerm(coeff, exponent))
+        except ValueError:  # coefficient or exponent overflowed
+            raise ParseError("coefficient or exponent is not a finite double", term_start) from None
+    try:
+        poly = FracPoly.from_terms(terms)
+    except ValueError:  # merged coefficients overflowed
+        raise ParseError("merged coefficient is not a finite double", start) from None
+    for _ in range(depth):
+        if tokens[i][2] != ")":
+            raise _unexpected("')'", tokens[i])
+        i += 1
+    return poly, i
 
 
 def parse_tf(text: str) -> FracTF:
@@ -285,9 +225,20 @@ def parse_tf(text: str) -> FracTF:
     denominator polynomial that normalizes to zero.
     """
     tokens = _tokenize(text)
-    if tokens[0].kind == "eof":
+    if tokens[0][0] == "end":
         raise ParseError("empty input", 0)
-    return _Parser(tokens).tf()
+    numerator, i = _poly(tokens, 0)
+    if tokens[i][0] == "end":
+        return FracTF(numerator, _ONE)
+    if tokens[i][2] != "/":
+        raise _unexpected("'/' or end of input", tokens[i])
+    den_start = tokens[i + 1][1]
+    denominator, i = _poly(tokens, i + 1)
+    if denominator.is_zero():
+        raise ParseError("denominator polynomial is zero", den_start)
+    if tokens[i][0] != "end":
+        raise _unexpected("end of input", tokens[i])
+    return FracTF(numerator, denominator)
 
 
 # --- printer -------------------------------------------------------------
@@ -331,19 +282,30 @@ def _check_omega(omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
 
 
+def _finite(z: complex, omega: float) -> complex:
+    """z when |z| is a finite double; otherwise EvaluationError at omega."""
+    if math.hypot(z.real, z.imag) < math.inf:
+        return z
+    raise EvaluationError("a value overflows", omega)
+
+
 def _poly_at(p: FracPoly, omega: float) -> complex:
     """p at s = j*omega: the sum of c * (omega**e * j**e) over its terms,
-    c last, so a subnormal c costs one rounding of the whole term."""
+    c last, so a subnormal c costs one rounding of the whole term.  An
+    omega**e that overflows makes the sum infinite."""
     acc = 0j
-    for e, c, jj in p.jomega_terms:
-        acc += c * (omega**e * jj)
+    try:
+        for e, c, jj in p.jomega_terms:
+            acc += c * (omega**e * jj)
+    except OverflowError:
+        return complex(math.inf)
     return acc
 
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
-    """Value of the polynomial at s = j*omega, accumulated term by term."""
+    """Value of the polynomial at s = j*omega; EvaluationError (carrying omega) on overflow."""
     _check_omega(omega)
-    z = _poly_at(p, omega)
+    z = _finite(_poly_at(p, omega), omega)
     return Complex(z.real, z.imag)
 
 
@@ -352,22 +314,13 @@ def _h_at(tf: FracTF, omega: float) -> complex:
 
     CPython's complex division is Smith's scaled method and never forms
     |D|**2.  Raises EvaluationError (carrying omega) when |D| is below
-    DENOMINATOR_EPS, or when an omega**e, |D| or the quotient is not finite.
+    DENOMINATOR_EPS, or when an omega**e, |D| or |N/D| is not finite.
     """
     _check_omega(omega)
-    fault = "a value overflows"
-    try:
-        d = _poly_at(tf.denominator, omega)
-        d_mag = math.hypot(d.real, d.imag)
-        if d_mag < DENOMINATOR_EPS:
-            fault = "denominator vanishes"
-        elif d_mag < math.inf:
-            h = _poly_at(tf.numerator, omega) / d
-            if math.isfinite(h.real) and math.isfinite(h.imag):
-                return h
-    except OverflowError:
-        pass
-    raise EvaluationError(fault, omega)
+    d = _finite(_poly_at(tf.denominator, omega), omega)
+    if math.hypot(d.real, d.imag) < DENOMINATOR_EPS:
+        raise EvaluationError("denominator vanishes", omega)
+    return _finite(_poly_at(tf.numerator, omega) / d, omega)
 
 
 def eval_tf(tf: FracTF, omega: float) -> Complex:

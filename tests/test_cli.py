@@ -60,6 +60,17 @@ class TestMain:
         assert out == b""
         assert "offset 2" in err
 
+    def test_deep_nesting_exits_0(self, capsysbinary):
+        code, out, err = run_main(["--tf=" + "(" * 5000 + "s+1" + ")" * 5000], capsysbinary)
+        assert code == EXIT_OK
+        assert out.startswith(CSV_HEADER.encode())
+
+    def test_grid_above_sample_cap_exits_2(self, capsysbinary):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--tf", "s", "--ppd", "1000000000"])
+        assert excinfo.value.code == 2
+        assert "more than 1000000 samples" in capsysbinary.readouterr().err.decode()
+
     def test_eval_error_exit_and_omega(self, capsysbinary):
         code, out, err = run_main(["--tf", "1/1e-310"], capsysbinary)
         assert code == EXIT_EVAL_ERROR
@@ -130,7 +141,8 @@ def poly_texts(draw):
     text = draw(st.sampled_from(["", "+", "-"])) + draw(term_texts)
     for _ in range(draw(st.integers(0, 3))):
         text += draw(st.sampled_from("+-")) + draw(term_texts)
-    depth = draw(st.integers(0, 2))
+    # 5000 is deeper than the recursion limit: nesting must not recurse.
+    depth = draw(st.sampled_from([0, 1, 2, 5000]))
     return "(" * depth + text + ")" * depth
 
 

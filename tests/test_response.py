@@ -16,6 +16,7 @@ from fracfreq import (
     response_at,
     sweep,
 )
+from fracfreq.response import MAX_GRID_POINTS
 from helpers import close
 
 DECADE_GRID = FrequencyGrid(1.0, 100.0, 1)
@@ -59,6 +60,18 @@ class TestFrequencyGrid:
     def test_rejects_bad_bounds(self, kwargs):
         with pytest.raises(ValueError):
             FrequencyGrid(**kwargs)
+
+    @pytest.mark.parametrize(
+        "wmin,wmax,ppd",
+        [(1.0, 10.0, 1_000_000), (1e-300, 1e300, 1667), (1.0, 10.0, 10**400)],
+    )
+    def test_rejects_more_than_max_grid_points(self, wmin, wmax, ppd):
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} samples"):
+            FrequencyGrid(wmin, wmax, ppd)
+
+    @pytest.mark.parametrize("wmin,wmax,ppd", [(1.0, 10.0, 999_999), (1.0, 1.0 + 1e-9, 10**9)])
+    def test_accepts_up_to_max_grid_points(self, wmin, wmax, ppd):
+        FrequencyGrid(wmin, wmax, ppd)
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):

@@ -82,46 +82,57 @@ class TestParse:
 
 
 MALFORMED = [
-    ("", 0),
-    ("   ", 0),
-    ("s^", 2),
-    ("s^-1", 2),
-    ("s^(2)", 2),
-    ("3*", 2),
-    ("s+", 2),
-    ("2**s", 2),
-    ("(s", 2),
-    ("s)", 1),
-    ("(s+1", 4),
-    ("()", 1),
-    ("q", 0),
-    ("1$2", 1),
-    ("1 2", 2),
-    ("/s", 0),
-    ("1/", 2),
-    ("1//s", 2),
-    ("1/s/s", 3),
-    ("(s+1)+2", 5),
-    ("1/0", 2),
-    ("1/(s-s)", 2),
-    ("1/(0.5-0.5)", 2),
-    ("-(s+1)", 1),
-    ("1e400", 0),
-    ("s^1e400", 0),
-    ("1e200*1e200", 0),
-    ("s^1e308*s^1e308", 0),
-    ("s+2*1e400", 2),
-    ("1/(1e308*s+1e308*s)", 3),
+    ("", 0, "empty input"),
+    ("   ", 0, "empty input"),
+    ("s^", 2, "expected number after '^', found end of input"),
+    ("s^-1", 2, "expected number after '^', found '-'"),
+    ("s^(2)", 2, "expected number after '^', found '('"),
+    ("3*", 2, "expected number or 's', found end of input"),
+    ("s+", 2, "expected number or 's', found end of input"),
+    ("2**s", 2, "expected number or 's', found '*'"),
+    ("(s", 2, "expected ')', found end of input"),
+    ("s)", 1, "expected '/' or end of input, found ')'"),
+    ("(s+1", 4, "expected ')', found end of input"),
+    ("()", 1, "expected number or 's', found ')'"),
+    ("q", 0, "unexpected character 'q'"),
+    ("1$2", 1, "unexpected character '$'"),
+    ("1 2", 2, "expected '/' or end of input, found '2'"),
+    ("/s", 0, "expected number or 's', found '/'"),
+    ("1/", 2, "expected number or 's', found end of input"),
+    ("1//s", 2, "expected number or 's', found '/'"),
+    ("1/s/s", 3, "expected end of input, found '/'"),
+    ("(s+1)+2", 5, "expected '/' or end of input, found '+'"),
+    ("1/0", 2, "denominator polynomial is zero"),
+    ("1/(s-s)", 2, "denominator polynomial is zero"),
+    ("1/(0.5-0.5)", 2, "denominator polynomial is zero"),
+    ("-(s+1)", 1, "expected number or 's', found '('"),
+    ("1e400", 0, "coefficient or exponent is not a finite double"),
+    ("s^1e400", 0, "coefficient or exponent is not a finite double"),
+    ("1e200*1e200", 0, "coefficient or exponent is not a finite double"),
+    ("s^1e308*s^1e308", 0, "coefficient or exponent is not a finite double"),
+    ("s+2*1e400", 2, "coefficient or exponent is not a finite double"),
+    ("1/(1e308*s+1e308*s)", 3, "merged coefficient is not a finite double"),
 ]
 
 
 class TestParseErrors:
-    @pytest.mark.parametrize("text,offset", MALFORMED)
-    def test_rejected_with_offset(self, text, offset):
+    # The message stays out of the test id.
+    @pytest.mark.parametrize(
+        "text,offset,message", MALFORMED, ids=[f"{t}-{o}" for t, o, _ in MALFORMED]
+    )
+    def test_rejected_with_offset(self, text, offset, message):
         with pytest.raises(ParseError) as excinfo:
             parse_tf(text)
         assert excinfo.value.position == offset
-        assert f"offset {offset}" in str(excinfo.value)
+        assert str(excinfo.value) == f"{message} (offset {offset})"
+
+    def test_deep_nesting_parses(self):
+        assert parse_tf("(" * 5000 + "s+1" + ")" * 5000) == parse_tf("s+1")
+
+    def test_deep_nesting_unclosed(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_tf("(" * 5000 + "s")
+        assert excinfo.value.position == 5001
 
     def test_zero_denominator_via_constructor(self):
         with pytest.raises(ValueError):
@@ -210,6 +221,12 @@ class TestEvalPoly:
         with pytest.raises(ValueError):
             eval_poly(FracPoly.constant(1.0), omega)
 
+    @pytest.mark.parametrize("text,omega", [("s^2", 1e200), ("1e300*s^2", 1e10)])
+    def test_overflow_is_evaluation_error(self, text, omega):
+        with pytest.raises(EvaluationError, match="^a value overflows at omega=") as excinfo:
+            eval_poly(parse_tf(text).numerator, omega)
+        assert excinfo.value.omega == omega
+
     @pytest.mark.parametrize("omega", [1e-3, 0.37, 1.0, 3.0, 1e3])
     @pytest.mark.parametrize(
         "exponent,unit", [(1, (0, 1)), (2, (-1, 0)), (3, (0, -1)), (4, (1, 0)), (5, (0, 1))]
@@ -252,6 +269,11 @@ class TestEvalTF:
         with pytest.raises(EvaluationError, match="^a value overflows at omega=") as excinfo:
             eval_tf(parse_tf(text), omega)
         assert excinfo.value.omega == omega
+
+    def test_magnitude_beyond_double_is_evaluation_error(self):
+        # Both parts are finite doubles, |H| is not.
+        with pytest.raises(EvaluationError, match="^a value overflows at omega="):
+            eval_tf(parse_tf("1.5e308+1.5e308*s"), 1.0)
 
     @pytest.mark.parametrize("text,omega", [("1/(s^2+1)", 1.0), ("1/1e-310", 2.5)])
     def test_pole_message_names_the_denominator(self, text, omega):
