@@ -7,7 +7,6 @@ byte-identical CSV and JSON.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,16 @@ FORMATS = ("csv", "json")
 # Largest grid FrequencyGrid accepts; points() builds the whole list.
 MAX_GRID_POINTS = 1_000_000
 
+# One JSON array element in json.dumps(indent=2)'s layout.  %s, not %r:
+# json.dumps writes float.__repr__, which str() of a float subclass such
+# as numpy.float64 keeps and its repr() does not.
+_JSON_OBJECT = (
+    "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_HEADER.split(",")) + "\n  }"
+)
+
+# json.dumps's spellings of the infinities; NaN never equals a key.
+_JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -31,12 +40,17 @@ class FrequencyGrid:
     points_per_decade: int = 20
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.omega_min) and self.omega_min > 0.0):
+        lo, hi = _as_double(self.omega_min), _as_double(self.omega_max)
+        if not (math.isfinite(lo) and lo > 0.0):
             raise ValueError(f"omega_min must be finite and > 0, got {self.omega_min!r}")
-        if not (math.isfinite(self.omega_max) and self.omega_max > self.omega_min):
+        if not (math.isfinite(hi) and hi > lo):
             raise ValueError(
                 f"omega_max must be finite and > omega_min, got {self.omega_max!r}"
             )
+        # Stored as floats, as FracTerm stores its fields, so that equal
+        # grids give equal points and equal bytes.
+        object.__setattr__(self, "omega_min", lo)
+        object.__setattr__(self, "omega_max", hi)
         if not (isinstance(self.points_per_decade, int) and self.points_per_decade >= 1):
             raise ValueError(
                 f"points_per_decade must be a positive integer, got {self.points_per_decade!r}"
@@ -64,6 +78,14 @@ class FrequencyGrid:
             out.append(10.0 ** (lg0 + (lg1 - lg0) * i / intervals))
         out.append(self.omega_max)
         return out
+
+
+def _as_double(x) -> float:
+    """float(x), or nan for an int beyond the double range, which no range check accepts."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -106,21 +128,35 @@ def _fields(p: ResponsePoint) -> tuple[float, float, float, float, float]:
     return (p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg)
 
 
+def _json_values(fields: tuple) -> tuple:
+    """fields as json.dumps writes them: NaN, Infinity, -Infinity or the number."""
+    try:
+        if math.isfinite(sum(fields)):
+            return fields
+    except OverflowError:  # an int beyond the double range
+        pass
+    return tuple("NaN" if v != v else _JSON_INFINITIES.get(v, v) for v in fields)
+
+
 def emit(points: list[ResponsePoint], format: str = "csv") -> bytes:
     """Serialize sweep points; format is "csv" or "json".
 
     CSV carries the header line and one row per point, every value with
     17 significant digits, each line feed terminated.  JSON is an array
-    of objects keyed like the CSV columns, numbers unquoted.
+    of objects keyed like the CSV columns, numbers unquoted, each the
+    shortest repr that reads back to the same double; the dB of a zero
+    response is -Infinity.  The JSON bytes are those of
+    json.dumps(..., indent=2) plus a line feed.
     """
     if format == "csv":
         # One %-format per row; "%.16e" gives the same bytes as format_value.
         rows = ["%.16e,%.16e,%.16e,%.16e,%.16e\n" % _fields(p) for p in points]
         return (CSV_HEADER + "\n" + "".join(rows)).encode("ascii")
     if format == "json":
-        names = CSV_HEADER.split(",")
-        objs = [dict(zip(names, _fields(p))) for p in points]
-        return (json.dumps(objs, indent=2) + "\n").encode("ascii")
+        if not points:
+            return b"[]\n"
+        rows = [_JSON_OBJECT % _json_values(_fields(p)) for p in points]
+        return ("[\n" + ",\n".join(rows) + "\n]\n").encode("ascii")
     raise ValueError(f"unknown output format {format!r}, expected one of {FORMATS}")
 
 

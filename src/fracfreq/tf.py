@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,8 @@ from .complexmath import Complex
 
 # |D(j*omega)| below this aborts evaluation rather than dividing.
 DENOMINATOR_EPS = 1e-300
+
+_DBL_MAX = sys.float_info.max
 
 
 class ParseError(ValueError):
@@ -278,7 +281,11 @@ def pretty_print(tf: FracTF) -> str:
 
 
 def _check_omega(omega: float) -> None:
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0.0):
+    # Compared, not converted: an int beyond the double range fails here.
+    # A bool is an int, not a frequency; the JSON template would write True.
+    if not (
+        isinstance(omega, (int, float)) and type(omega) is not bool and 0.0 < omega <= _DBL_MAX
+    ):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
 
 
@@ -317,8 +324,11 @@ def _h_at(tf: FracTF, omega: float) -> complex:
     DENOMINATOR_EPS, or when an omega**e, |D| or |N/D| is not finite.
     """
     _check_omega(omega)
-    d = _finite(_poly_at(tf.denominator, omega), omega)
-    if math.hypot(d.real, d.imag) < DENOMINATOR_EPS:
+    d = _poly_at(tf.denominator, omega)
+    d_mag = math.hypot(d.real, d.imag)
+    if not d_mag < math.inf:  # inf or nan
+        raise EvaluationError("a value overflows", omega)
+    if d_mag < DENOMINATOR_EPS:
         raise EvaluationError("denominator vanishes", omega)
     return _finite(_poly_at(tf.numerator, omega) / d, omega)
 

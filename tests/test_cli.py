@@ -182,6 +182,14 @@ class TestEntryPoint:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 21
 
+    def test_import_loads_no_json(self):
+        # CLI wall time is mostly interpreter start and import; json must not come back unnoticed.
+        code = 'import fracfreq.cli; import sys; assert "json" not in sys.modules'
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr.decode()
+
     def test_module_invocation_parse_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "fracfreq", "--tf", "(s"],

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -73,6 +73,17 @@ class TestFrequencyGrid:
     def test_accepts_up_to_max_grid_points(self, wmin, wmax, ppd):
         FrequencyGrid(wmin, wmax, ppd)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_int_and_float_bounds_emit_equal_bytes(self, fmt):
+        tf = parse_tf("10000/s^0.5")
+        as_int, as_float = FrequencyGrid(0.1, 10, 2), FrequencyGrid(0.1, 10.0, 2)
+        assert as_int == as_float
+        assert emit(sweep(tf, as_int), fmt) == emit(sweep(tf, as_float), fmt)
+
+    def test_int_beyond_double_rejected(self):
+        with pytest.raises(ValueError, match="omega_max must be finite"):
+            FrequencyGrid(0.1, 10**400, 2)
+
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             FrequencyGrid(5.0, 5.0, 10)
@@ -121,6 +132,11 @@ class TestSweep:
         assert p.mag_linear == 0.0
         assert p.mag_db == -math.inf
         assert p.phase_rad == 0.0
+
+    @pytest.mark.parametrize("omega", [10**400, True], ids=["int_beyond_double", "bool"])
+    def test_omega_not_a_double_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            response_at(parse_tf("10000/s^0.5"), omega)
 
     def test_abort_carries_first_bad_frequency(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -181,6 +197,18 @@ class TestEmit:
             assert obj["omega"] == p.omega
             assert obj["mag_db"] == p.mag_db
             assert obj["phase_rad"] == p.phase_rad
+
+    @given(st.lists(st.builds(ResponsePoint, *[st.floats()] * 5), max_size=4))
+    @example([ResponsePoint(10**400, 1.0, -math.inf, 0.0, 0.0)])
+    def test_json_bytes_equal_json_dumps(self, pts):
+        # st.floats() draws +-inf, nan, -0.0 and subnormals too; the example
+        # is an int field beyond the double range, which json.dumps writes.
+        names = CSV_HEADER.split(",")
+        objs = [
+            dict(zip(names, (p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg)))
+            for p in pts
+        ]
+        assert emit(pts, format="json") == (json.dumps(objs, indent=2) + "\n").encode("ascii")
 
     def test_byte_determinism(self):
         tf = parse_tf("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)")
