@@ -17,17 +17,7 @@ from .closed_form import (
     jomega_pow_mag,
 )
 from .complexmath import Complex, add, argument, div, magnitude, mul
-from .response import (
-    CSV_HEADER,
-    FORMATS,
-    FrequencyGrid,
-    ResponsePoint,
-    emit,
-    format_value,
-    response_at,
-    sweep,
-)
-from .roots import PolarForm, branch_count, nth_roots, pow_branch, principal_pow, to_polar
+from .response import CSV_HEADER, FORMATS, FrequencyGrid, emit, format_value, response_at, sweep
 from .tf import (
     EvaluationError,
     FracPoly,
@@ -40,6 +30,22 @@ from .tf import (
     parse_tf,
     pretty_print,
 )
+
+# Loaded on first use (PEP 562): the command line needs neither.
+_ROOTS_NAMES = ("PolarForm", "branch_count", "nth_roots", "pow_branch", "principal_pow", "to_polar")
+
+
+def __getattr__(name: str):
+    if name == "ResponsePoint":
+        from .point import ResponsePoint as value
+    elif name in _ROOTS_NAMES:
+        from . import roots
+
+        value = getattr(roots, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 __version__ = "0.1.0"
 

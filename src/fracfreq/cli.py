@@ -1,15 +1,15 @@
 """fracfreq command line: sweep a transfer function, emit Bode data.
 
-Exit codes: 0 success, 2 expression parse error, 3 evaluation error.
+Exit codes: 0 success, 2 expression parse error or usage error (an
+--out that cannot be written included), 3 evaluation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .response import FORMATS, FrequencyGrid, emit, sweep
+from .response import FORMATS, FrequencyGrid, emit_rows, rows
 from .tf import EvaluationError, ParseError, parse_tf
 
 EXIT_OK = 0
@@ -53,15 +53,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
     try:
-        points = sweep(tf, grid)
+        values = rows(tf, grid)
     except EvaluationError as exc:
         print(f"fracfreq: error: {exc}", file=sys.stderr)
         return EXIT_EVAL_ERROR
 
-    data = emit(points, args.format)
+    data = emit_rows(values, args.format)
     if args.out is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(args.out).write_bytes(data)
+        try:
+            with open(args.out, "wb") as out:
+                out.write(data)
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
     return EXIT_OK

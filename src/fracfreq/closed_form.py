@@ -16,8 +16,8 @@ quantities from the polar decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value, as_double
 from .complexmath import Complex
 
 # j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
@@ -37,39 +37,41 @@ def j_pow(e: float) -> complex:
     return complex(math.cos(half), math.sin(half))
 
 
+def _check_positive(name: str, x: float) -> None:
+    if not (math.isfinite(as_double(x)) and x > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+
+
 def _check_omega_alpha(omega: float, alpha: float) -> None:
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+    _check_positive("omega", omega)
+    if not (math.isfinite(as_double(alpha)) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class CaseIParams:
+class CaseIParams(Value):
     """Single fractional power of j*omega: omega > 0, 0 < alpha < 1."""
 
-    omega: float
-    alpha: float
+    __slots__ = _fields = ("omega", "alpha")
 
-    def __post_init__(self) -> None:
-        _check_omega_alpha(self.omega, self.alpha)
+    def __init__(self, omega: float, alpha: float) -> None:
+        _check_omega_alpha(omega, alpha)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class CaseIIParams:
+class CaseIIParams(Value):
     """Affine fractional power a*(j*omega)**alpha + b with a, b > 0."""
 
-    a: float
-    b: float
-    omega: float
-    alpha: float
+    __slots__ = _fields = ("a", "b", "omega", "alpha")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"gain a must be finite and > 0, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"offset b must be finite and > 0, got {self.b!r}")
-        _check_omega_alpha(self.omega, self.alpha)
+    def __init__(self, a: float, b: float, omega: float, alpha: float) -> None:
+        _check_positive("gain a", a)
+        _check_positive("offset b", b)
+        _check_omega_alpha(omega, alpha)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def jomega_pow(p: CaseIParams) -> Complex:

@@ -10,23 +10,21 @@ in the half-open interval (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._value import Value, as_double
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(Value):
     """A complex value as an explicit (re, im) pair; both parts finite."""
 
-    re: float
-    im: float = 0.0
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "im", float(self.im))
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(
-                f"complex parts must be finite, got re={self.re!r}, im={self.im!r}"
-            )
+    def __init__(self, re: float, im: float = 0.0) -> None:
+        x, y = as_double(re), as_double(im)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"complex parts must be finite, got re={re!r}, im={im!r}")
+        object.__setattr__(self, "re", x)
+        object.__setattr__(self, "im", y)
 
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0

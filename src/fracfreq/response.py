@@ -8,8 +8,8 @@ byte-identical CSV and JSON.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value, as_double
 from .complexmath import principal_angle
 from .tf import FracTF, _h_at
 
@@ -31,30 +31,28 @@ _JSON_OBJECT = (
 _JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(Value):
     """Log-spaced angular-frequency samples over [omega_min, omega_max]."""
 
-    omega_min: float = 0.01
-    omega_max: float = 100.0
-    points_per_decade: int = 20
+    __slots__ = _fields = ("omega_min", "omega_max", "points_per_decade")
 
-    def __post_init__(self) -> None:
-        lo, hi = _as_double(self.omega_min), _as_double(self.omega_max)
+    def __init__(
+        self, omega_min: float = 0.01, omega_max: float = 100.0, points_per_decade: int = 20
+    ) -> None:
+        lo, hi = as_double(omega_min), as_double(omega_max)
         if not (math.isfinite(lo) and lo > 0.0):
-            raise ValueError(f"omega_min must be finite and > 0, got {self.omega_min!r}")
+            raise ValueError(f"omega_min must be finite and > 0, got {omega_min!r}")
         if not (math.isfinite(hi) and hi > lo):
+            raise ValueError(f"omega_max must be finite and > omega_min, got {omega_max!r}")
+        if not (isinstance(points_per_decade, int) and points_per_decade >= 1):
             raise ValueError(
-                f"omega_max must be finite and > omega_min, got {self.omega_max!r}"
+                f"points_per_decade must be a positive integer, got {points_per_decade!r}"
             )
         # Stored as floats, as FracTerm stores its fields, so that equal
         # grids give equal points and equal bytes.
         object.__setattr__(self, "omega_min", lo)
         object.__setattr__(self, "omega_max", hi)
-        if not (isinstance(self.points_per_decade, int) and self.points_per_decade >= 1):
-            raise ValueError(
-                f"points_per_decade must be a positive integer, got {self.points_per_decade!r}"
-            )
+        object.__setattr__(self, "points_per_decade", points_per_decade)
         try:
             samples = self._log_span()[2] + 1
         except OverflowError:  # points_per_decade * decades is beyond a double
@@ -80,38 +78,26 @@ class FrequencyGrid:
         return out
 
 
-def _as_double(x) -> float:
-    """float(x), or nan for an int beyond the double range, which no range check accepts."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.nan
-
-
-@dataclass(frozen=True)
-class ResponsePoint:
-    """One frequency sample of H(j*omega) in every customary unit.
-
-    mag_db is 20*log10(mag_linear) (amplitude convention) and phase_deg
-    is phase_rad in degrees, phase_rad principal in (-pi, pi].  A
-    response of exactly zero is reported as mag_db = -inf, phase 0.
-    """
-
-    omega: float
-    mag_linear: float
-    mag_db: float
-    phase_rad: float
-    phase_deg: float
-
-
-def response_at(tf: FracTF, omega: float) -> ResponsePoint:
+def _row(tf: FracTF, omega: float) -> tuple[float, float, float, float, float]:
+    """The fields of response_at(tf, omega) as a plain tuple."""
     h = _h_at(tf, omega)
     # hypot, not abs(h): abs raises OverflowError where hypot gives inf.
     mag = math.hypot(h.real, h.imag)
     if mag == 0.0:
-        return ResponsePoint(omega, mag, -math.inf, 0.0, 0.0)
+        return (omega, mag, -math.inf, 0.0, 0.0)
     phase = principal_angle(h.real, h.imag)
-    return ResponsePoint(omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase))
+    return (omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase))
+
+
+def rows(tf: FracTF, grid: FrequencyGrid) -> list[tuple[float, float, float, float, float]]:
+    """One _row per grid frequency, ascending omega; EvaluationError as sweep."""
+    return [_row(tf, omega) for omega in grid.points()]
+
+
+def response_at(tf: FracTF, omega: float) -> ResponsePoint:
+    from .point import ResponsePoint
+
+    return ResponsePoint(*_row(tf, omega))
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
@@ -121,7 +107,9 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
     tf.EvaluationError with the offending frequency; no point is
     silently skipped.
     """
-    return [response_at(tf, omega) for omega in grid.points()]
+    from .point import ResponsePoint
+
+    return [ResponsePoint(*row) for row in rows(tf, grid)]
 
 
 def _fields(p: ResponsePoint) -> tuple[float, float, float, float, float]:
@@ -148,15 +136,20 @@ def emit(points: list[ResponsePoint], format: str = "csv") -> bytes:
     response is -Infinity.  The JSON bytes are those of
     json.dumps(..., indent=2) plus a line feed.
     """
+    return emit_rows([_fields(p) for p in points], format)
+
+
+def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
+    """emit for rows of (omega, mag_linear, mag_db, phase_rad, phase_deg)."""
     if format == "csv":
         # One %-format per row; "%.16e" gives the same bytes as format_value.
-        rows = ["%.16e,%.16e,%.16e,%.16e,%.16e\n" % _fields(p) for p in points]
-        return (CSV_HEADER + "\n" + "".join(rows)).encode("ascii")
+        lines = ["%.16e,%.16e,%.16e,%.16e,%.16e\n" % row for row in values]
+        return (CSV_HEADER + "\n" + "".join(lines)).encode("ascii")
     if format == "json":
-        if not points:
+        if not values:
             return b"[]\n"
-        rows = [_JSON_OBJECT % _json_values(_fields(p)) for p in points]
-        return ("[\n" + ",\n".join(rows) + "\n]\n").encode("ascii")
+        objects = [_JSON_OBJECT % _json_values(row) for row in values]
+        return ("[\n" + ",\n".join(objects) + "\n]\n").encode("ascii")
     raise ValueError(f"unknown output format {format!r}, expected one of {FORMATS}")
 
 

@@ -11,8 +11,8 @@ evaluator that the closed-form module is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value, as_double
 from .complexmath import Complex, argument, magnitude
 
 # Forgives the binary rounding of alpha = 1/n when counting branches,
@@ -20,18 +20,18 @@ from .complexmath import Complex, argument, magnitude
 _BRANCH_COUNT_FUZZ = 1e-9
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(Value):
     """Modulus/angle pair with the angle already in (-pi, pi]."""
 
-    r: float
-    phi: float
+    __slots__ = _fields = ("r", "phi")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"modulus must be finite and >= 0, got {self.r!r}")
-        if not (-math.pi < self.phi <= math.pi):
-            raise ValueError(f"angle must lie in (-pi, pi], got {self.phi!r}")
+    def __init__(self, r: float, phi: float) -> None:
+        if not (math.isfinite(as_double(r)) and r >= 0.0):
+            raise ValueError(f"modulus must be finite and >= 0, got {r!r}")
+        if not (-math.pi < phi <= math.pi):
+            raise ValueError(f"angle must lie in (-pi, pi], got {phi!r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phi", phi)
 
 
 def to_polar(s: Complex) -> PolarForm:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import Value, as_double
 from .closed_form import j_pow
 from .complexmath import Complex
 
@@ -52,43 +52,44 @@ class EvaluationError(ValueError):
         self.omega = omega
 
 
-@dataclass(frozen=True)
-class FracTerm:
+class FracTerm(Value):
     """One term c * s**e: real coefficient, nonnegative real exponent."""
 
-    coeff: float
-    exponent: float
+    __slots__ = _fields = ("coeff", "exponent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", float(self.coeff))
-        object.__setattr__(self, "exponent", float(self.exponent))
-        if not math.isfinite(self.coeff):
-            raise ValueError(f"coefficient must be finite, got {self.coeff!r}")
-        if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
-            raise ValueError(f"exponent must be finite and >= 0, got {self.exponent!r}")
+    def __init__(self, coeff: float, exponent: float) -> None:
+        c, e = as_double(coeff), as_double(exponent)
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient must be finite, got {coeff!r}")
+        if not (math.isfinite(e) and e >= 0.0):
+            raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
+        object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "exponent", e)
 
 
 _ZERO_TERM = FracTerm(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class FracPoly:
+class FracPoly(Value):
     """Normalized sum of terms, exponents strictly decreasing, never empty."""
 
-    terms: tuple[FracTerm, ...]
+    # The __dict__ slot holds jomega_terms once computed.
+    __slots__ = ("terms", "__dict__")
+    _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, terms: tuple[FracTerm, ...]) -> None:
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("a polynomial needs at least one term")
-        for prev, cur in zip(self.terms, self.terms[1:]):
+        for prev, cur in zip(terms, terms[1:]):
             if not prev.exponent > cur.exponent:
                 raise ValueError(
                     "term exponents must be strictly decreasing, got "
                     f"{prev.exponent!r} before {cur.exponent!r}"
                 )
-        if any(t.coeff == 0.0 for t in self.terms) and self.terms != (_ZERO_TERM,):
+        if any(t.coeff == 0.0 for t in terms) and terms != (_ZERO_TERM,):
             raise ValueError("zero-coefficient terms must be dropped at normalization")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, terms) -> "FracPoly":
@@ -126,16 +127,16 @@ class FracPoly:
 _ONE = FracPoly.constant(1.0)
 
 
-@dataclass(frozen=True)
-class FracTF:
+class FracTF(Value):
     """Numerator/denominator pair; the denominator is never the zero polynomial."""
 
-    numerator: FracPoly
-    denominator: FracPoly
+    __slots__ = _fields = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        if self.denominator.is_zero():
+    def __init__(self, numerator: FracPoly, denominator: FracPoly) -> None:
+        if denominator.is_zero():
             raise ValueError("denominator polynomial is zero")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def __str__(self) -> str:
         return pretty_print(self)

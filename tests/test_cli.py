@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfreq import CSV_HEADER
+from fracfreq import (
+    CSV_HEADER,
+    FORMATS,
+    EvaluationError,
+    FrequencyGrid,
+    ParseError,
+    emit,
+    parse_tf,
+    sweep,
+)
 from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main
 from helpers import child_env, close
 
@@ -53,6 +62,18 @@ class TestMain:
         assert out == b""
         code, out, _ = run_main(["--tf", "s^0.5"], capsysbinary)
         assert target.read_bytes() == out
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, where, tmp_path, capsysbinary):
+        target = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--tf", "s", "--out", str(target)])
+        assert excinfo.value.code == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        err = captured.err.decode()
+        assert str(target) in err
+        assert ("No such file" if where == "missing_dir" else "Is a directory") in err
 
     def test_parse_error_exit_and_offset(self, capsysbinary):
         code, out, err = run_main(["--tf", "s^"], capsysbinary)
@@ -169,6 +190,36 @@ class TestExitContract:
         assert (out.buffer.getvalue() != b"") == (code == EXIT_OK)
 
 
+def run_in_process(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout bytes, stderr text)."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+class TestRowPath:
+    @settings(deadline=None)
+    @given(tf_texts, bounds, bounds, st.integers(1, 3), st.sampled_from(FORMATS))
+    def test_main_equals_library_emit(self, text, w1, w2, ppd, fmt):
+        # The CLI emits rows without building ResponsePoints; its bytes and
+        # its failures must be the library's.
+        if w1 == w2:
+            return
+        wmin, wmax = sorted((w1, w2))
+        argv = [f"--tf={text}", f"--wmin={wmin!r}", f"--wmax={wmax!r}", f"--ppd={ppd}"]
+        code, out, err = run_in_process(argv + [f"--format={fmt}"])
+        try:
+            expected = emit(sweep(parse_tf(text), FrequencyGrid(wmin, wmax, ppd)), fmt)
+        except ParseError:
+            assert (code, out) == (EXIT_PARSE_ERROR, b"")
+        except EvaluationError as exc:
+            assert (code, out) == (EXIT_EVAL_ERROR, b"")
+            assert err == f"fracfreq: error: {exc}\n"
+        else:
+            assert (code, out, err) == (EXIT_OK, expected, "")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -183,12 +234,19 @@ class TestEntryPoint:
         assert len(lines) == 1 + 21
 
     def test_import_loads_no_json(self):
-        # CLI wall time is mostly interpreter start and import; json must not come back unnoticed.
-        code = 'import fracfreq.cli; import sys; assert "json" not in sys.modules'
+        # CLI wall time is mostly interpreter start and import; none of these
+        # may come back unnoticed.  Only modules the import adds count, since
+        # site may already have loaded some of them.
+        forbidden = {"json", "dataclasses", "inspect", "pathlib", "fracfreq.roots", "fracfreq.point"}
+        code = (
+            "import sys; before = set(sys.modules); import fracfreq.cli; "
+            f"print(sorted((set(sys.modules) - before) & {forbidden!r}))"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
         )
         assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().strip() == "[]"
 
     def test_module_invocation_parse_error(self):
         result = subprocess.run(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -101,6 +102,13 @@ class TestFrequencyGrid:
 
 
 class TestSweep:
+    def test_points_are_dataclasses(self):
+        p = sweep(parse_tf("10000/s^0.5"), DECADE_GRID)[1]
+        q = dataclasses.replace(p, mag_linear=2.0)
+        assert type(q) is ResponsePoint
+        assert (q.omega, q.mag_linear, q.phase_deg) == (p.omega, 2.0, p.phase_deg)
+        assert [f.name for f in dataclasses.fields(p)] == CSV_HEADER.split(",")
+
     def test_fractional_capacitor_decades(self):
         pts = sweep(parse_tf("10000/s^0.5"), DECADE_GRID)
         assert [p.omega for p in pts] == [1.0, 10.0, 100.0]

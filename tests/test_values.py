@@ -1,0 +1,164 @@
+"""The value-type contract of the package's immutable records."""
+
+import copy
+import pickle
+
+import pytest
+
+import fracfreq
+from fracfreq import (
+    CaseIIParams,
+    CaseIParams,
+    Complex,
+    FracPoly,
+    FracTerm,
+    FracTF,
+    FrequencyGrid,
+    PolarForm,
+    parse_tf,
+)
+
+# (factory, repr, one field name).  Each repr is the string these types
+# printed as frozen dataclasses.
+EXAMPLES = [
+    (lambda: FracTerm(2, 0.5), "FracTerm(coeff=2.0, exponent=0.5)", "coeff"),
+    (
+        lambda: FracPoly((FracTerm(2, 0.5), FracTerm(1, 0))),
+        "FracPoly(terms=(FracTerm(coeff=2.0, exponent=0.5), FracTerm(coeff=1.0, exponent=0.0)))",
+        "terms",
+    ),
+    (
+        lambda: parse_tf("(3*s^0.5+2)/(s^1.2+1)"),
+        "FracTF(numerator=FracPoly(terms=(FracTerm(coeff=3.0, exponent=0.5), "
+        "FracTerm(coeff=2.0, exponent=0.0))), denominator=FracPoly(terms=("
+        "FracTerm(coeff=1.0, exponent=1.2), FracTerm(coeff=1.0, exponent=0.0))))",
+        "denominator",
+    ),
+    (
+        lambda: FrequencyGrid(),
+        "FrequencyGrid(omega_min=0.01, omega_max=100.0, points_per_decade=20)",
+        "omega_max",
+    ),
+    (lambda: Complex(1, -2.5), "Complex(re=1.0, im=-2.5)", "im"),
+    (lambda: CaseIParams(2, 0.25), "CaseIParams(omega=2, alpha=0.25)", "alpha"),
+    (
+        lambda: CaseIIParams(1.0, 2.0, 10.0, 0.5),
+        "CaseIIParams(a=1.0, b=2.0, omega=10.0, alpha=0.5)",
+        "b",
+    ),
+    (lambda: PolarForm(1.0, 0.5), "PolarForm(r=1.0, phi=0.5)", "phi"),
+]
+IDS = [text.split("(")[0] for _, text, _ in EXAMPLES]
+
+
+@pytest.mark.parametrize("make,text,field", EXAMPLES, ids=IDS)
+class TestValueContract:
+    def test_repr(self, make, text, field):
+        assert repr(make()) == text
+
+    def test_equal_fields_are_equal_with_equal_hash(self, make, text, field):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_assignment_and_deletion_raise(self, make, text, field):
+        value = make()
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1.0
+        assert getattr(value, field) is before
+
+    def test_copy_and_pickle_round_trip(self, make, text, field):
+        value = make()
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value
+            assert repr(twin) == text
+
+
+def test_different_classes_with_equal_fields_are_unequal():
+    pairs = [Complex(1.0, 0.5), PolarForm(1.0, 0.5), CaseIParams(1.0, 0.5), (1.0, 0.5)]
+    for i, a in enumerate(pairs):
+        for b in pairs[i + 1 :]:
+            assert a != b and b != a
+
+
+def test_keyword_and_default_construction():
+    assert FrequencyGrid() == FrequencyGrid(0.01, 100.0, 20)
+    assert FrequencyGrid(points_per_decade=2) == FrequencyGrid(0.01, 100.0, 2)
+    assert Complex(re=1.0) == Complex(1.0, 0.0)
+    assert FracTerm(exponent=2, coeff=3) == FracTerm(3.0, 2.0)
+    assert CaseIIParams(alpha=0.5, omega=3.0, b=2.0, a=1.0) == CaseIIParams(1.0, 2.0, 3.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FracTerm(1.0),
+        lambda: FracPoly(),
+        lambda: FracTF(FracPoly.constant(1.0)),
+        lambda: FrequencyGrid(0.1, 10.0, 2, 3),
+        lambda: Complex(),
+        lambda: CaseIParams(1.0, 0.5, 0.5),
+        lambda: CaseIIParams(1.0, 2.0, 3.0),
+        lambda: PolarForm(1.0),
+    ],
+    ids=IDS,
+)
+def test_wrong_argument_count_is_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_jomega_terms_computed_once():
+    poly = FracPoly.from_terms([FracTerm(2.0, 0.5), FracTerm(1.0, 0.0)])
+    first = poly.jomega_terms
+    assert poly.jomega_terms is first
+    assert pickle.loads(pickle.dumps(poly)).jomega_terms == first
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FracTerm(10**400, 1),
+        lambda: FracTerm(1, 10**400),
+        lambda: Complex(10**400),
+        lambda: Complex(0.0, -(10**400)),
+        lambda: FrequencyGrid(10**400, 10.0**300, 1),
+        lambda: CaseIParams(10**400, 0.5),
+        lambda: CaseIParams(1.0, 10**400),
+        lambda: CaseIIParams(1, 10**400, 1, 0.5),
+        lambda: CaseIIParams(10**400, 1, 1, 0.5),
+        lambda: PolarForm(10**400, 0.0),
+    ],
+    ids=[
+        "FracTerm-coeff",
+        "FracTerm-exponent",
+        "Complex-re",
+        "Complex-im",
+        "FrequencyGrid-omega_min",
+        "CaseIParams-omega",
+        "CaseIParams-alpha",
+        "CaseIIParams-b",
+        "CaseIIParams-a",
+        "PolarForm-r",
+    ],
+)
+def test_int_beyond_double_is_value_error(make):
+    with pytest.raises(ValueError, match="must"):
+        make()
+
+
+def test_every_public_name_resolves():
+    for name in fracfreq.__all__:
+        getattr(fracfreq, name)
+    namespace = {}
+    exec("from fracfreq import *", namespace)
+    assert set(fracfreq.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        fracfreq.no_such_name
