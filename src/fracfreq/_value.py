@@ -1,14 +1,34 @@
-"""The immutable value base shared by the package's record types."""
+"""The immutable value base of the package's record types, and the one check of real inputs."""
 
 import math
 
+# The bounds of real(): the largest finite double and the smallest
+# positive one, so "> 0" is the closed bound TINY.
+DBL_MAX = math.nextafter(math.inf, 0.0)
+TINY = math.ulp(0.0)
 
-def as_double(x) -> float:
-    """float(x), or nan for an int beyond the double range, which no finiteness check accepts."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.nan
+# The rule and lower bound of every angular frequency: real(omega, *OMEGA).
+OMEGA = ("omega must be finite and > 0", TINY)
+
+
+def real(x, rule: str, low: float = -DBL_MAX, high: float = DBL_MAX) -> float:
+    """float(x) when it lies in [low, high]; otherwise ValueError(f"{rule}, got ...").
+
+    The one check of every real input.  Finite bounds reject NaN and
+    the infinities; a bool, and an int beyond the double range, fail.
+    The message shows the double's repr, or x's type name when x has
+    no double, so an int is never written out in decimal.
+    """
+    if type(x) is not bool:
+        try:
+            v = float(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if low <= v <= high:
+                return v
+            raise ValueError(f"{rule}, got {v!r}")
+    raise ValueError(f"{rule}, got {type(x).__name__}")
 
 
 class Value:

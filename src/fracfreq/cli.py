@@ -4,8 +4,6 @@ Exit codes: 0 success, 2 expression parse error or usage error (an
 --out that cannot be written included), 3 evaluation error.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

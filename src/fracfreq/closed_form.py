@@ -13,11 +13,9 @@ keeps them honest against roots.principal_pow, which computes the same
 quantities from the polar decomposition.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._value import Value, as_double
+from ._value import OMEGA, TINY, Value, real
 from .complexmath import Complex
 
 # j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
@@ -37,15 +35,8 @@ def j_pow(e: float) -> complex:
     return complex(math.cos(half), math.sin(half))
 
 
-def _check_positive(name: str, x: float) -> None:
-    if not (math.isfinite(as_double(x)) and x > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
-
-
-def _check_omega_alpha(omega: float, alpha: float) -> None:
-    _check_positive("omega", omega)
-    if not (math.isfinite(as_double(alpha)) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+# alpha's rule and the closed bounds of the open interval 0 < alpha < 1.
+_ALPHA = ("alpha must lie strictly in (0, 1)", TINY, math.nextafter(1.0, 0.0))
 
 
 class CaseIParams(Value):
@@ -54,7 +45,8 @@ class CaseIParams(Value):
     __slots__ = _fields = ("omega", "alpha")
 
     def __init__(self, omega: float, alpha: float) -> None:
-        _check_omega_alpha(omega, alpha)
+        omega = real(omega, *OMEGA)
+        alpha = real(alpha, *_ALPHA)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "alpha", alpha)
 
@@ -65,9 +57,10 @@ class CaseIIParams(Value):
     __slots__ = _fields = ("a", "b", "omega", "alpha")
 
     def __init__(self, a: float, b: float, omega: float, alpha: float) -> None:
-        _check_positive("gain a", a)
-        _check_positive("offset b", b)
-        _check_omega_alpha(omega, alpha)
+        a = real(a, "gain a must be finite and > 0", TINY)
+        b = real(b, "offset b must be finite and > 0", TINY)
+        omega = real(omega, *OMEGA)
+        alpha = real(alpha, *_ALPHA)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "omega", omega)

@@ -7,11 +7,9 @@ every value is finite by construction, and the principal argument lies
 in the half-open interval (-pi, pi].
 """
 
-from __future__ import annotations
-
 import math
 
-from ._value import Value, as_double
+from ._value import Value, real
 
 
 class Complex(Value):
@@ -20,11 +18,10 @@ class Complex(Value):
     __slots__ = _fields = ("re", "im")
 
     def __init__(self, re: float, im: float = 0.0) -> None:
-        x, y = as_double(re), as_double(im)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"complex parts must be finite, got re={re!r}, im={im!r}")
-        object.__setattr__(self, "re", x)
-        object.__setattr__(self, "im", y)
+        re = real(re, "real part must be finite")
+        im = real(im, "imaginary part must be finite")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0

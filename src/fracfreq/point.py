@@ -5,8 +5,6 @@ It lives apart from response.py so that the command line, which emits
 rows without building records, does not import dataclasses.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 

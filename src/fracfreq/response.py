@@ -5,11 +5,9 @@ configured values.  Output is deterministic: identical inputs produce
 byte-identical CSV and JSON.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._value import Value, as_double
+from ._value import OMEGA, TINY, Value, real
 from .complexmath import principal_angle
 from .tf import FracTF, _h_at
 
@@ -39,17 +37,14 @@ class FrequencyGrid(Value):
     def __init__(
         self, omega_min: float = 0.01, omega_max: float = 100.0, points_per_decade: int = 20
     ) -> None:
-        lo, hi = as_double(omega_min), as_double(omega_max)
-        if not (math.isfinite(lo) and lo > 0.0):
-            raise ValueError(f"omega_min must be finite and > 0, got {omega_min!r}")
-        if not (math.isfinite(hi) and hi > lo):
-            raise ValueError(f"omega_max must be finite and > omega_min, got {omega_max!r}")
-        if not (isinstance(points_per_decade, int) and points_per_decade >= 1):
+        lo = real(omega_min, "omega_min must be finite and > 0", TINY)
+        above_lo = math.nextafter(lo, math.inf)
+        hi = real(omega_max, "omega_max must be finite and > omega_min", above_lo)
+        if not (type(points_per_decade) is int and points_per_decade >= 1):
             raise ValueError(
                 f"points_per_decade must be a positive integer, got {points_per_decade!r}"
             )
-        # Stored as floats, as FracTerm stores its fields, so that equal
-        # grids give equal points and equal bytes.
+        # Stored as floats, so that equal grids give equal points and equal bytes.
         object.__setattr__(self, "omega_min", lo)
         object.__setattr__(self, "omega_max", hi)
         object.__setattr__(self, "points_per_decade", points_per_decade)
@@ -94,13 +89,13 @@ def rows(tf: FracTF, grid: FrequencyGrid) -> list[tuple[float, float, float, flo
     return [_row(tf, omega) for omega in grid.points()]
 
 
-def response_at(tf: FracTF, omega: float) -> ResponsePoint:
+def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
     from .point import ResponsePoint
 
-    return ResponsePoint(*_row(tf, omega))
+    return ResponsePoint(*_row(tf, real(omega, *OMEGA)))
 
 
-def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
+def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
     """One ResponsePoint per grid frequency, ascending omega.
 
     Any evaluation fault (vanishing denominator or overflow) raises
@@ -112,7 +107,7 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
     return [ResponsePoint(*row) for row in rows(tf, grid)]
 
 
-def _fields(p: ResponsePoint) -> tuple[float, float, float, float, float]:
+def _fields(p: "ResponsePoint") -> tuple[float, float, float, float, float]:
     return (p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg)
 
 
@@ -126,7 +121,7 @@ def _json_values(fields: tuple) -> tuple:
     return tuple("NaN" if v != v else _JSON_INFINITIES.get(v, v) for v in fields)
 
 
-def emit(points: list[ResponsePoint], format: str = "csv") -> bytes:
+def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:
     """Serialize sweep points; format is "csv" or "json".
 
     CSV carries the header line and one row per point, every value with

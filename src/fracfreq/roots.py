@@ -8,11 +8,9 @@ nonnegative real.  ``principal_pow`` doubles as the reference
 evaluator that the closed-form module is tested against.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._value import Value, as_double
+from ._value import TINY, Value, real
 from .complexmath import Complex, argument, magnitude
 
 # Forgives the binary rounding of alpha = 1/n when counting branches,
@@ -26,10 +24,8 @@ class PolarForm(Value):
     __slots__ = _fields = ("r", "phi")
 
     def __init__(self, r: float, phi: float) -> None:
-        if not (math.isfinite(as_double(r)) and r >= 0.0):
-            raise ValueError(f"modulus must be finite and >= 0, got {r!r}")
-        if not (-math.pi < phi <= math.pi):
-            raise ValueError(f"angle must lie in (-pi, pi], got {phi!r}")
+        r = real(r, "modulus must be finite and >= 0", 0.0)
+        phi = real(phi, "angle must lie in (-pi, pi]", math.nextafter(-math.pi, 0.0), math.pi)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
 
@@ -44,8 +40,7 @@ def branch_count(alpha: float) -> int:
 
     ceil(1/alpha), so alpha = 1/n recovers exactly n branches.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"exponent must lie in (0, 1], got {alpha!r}")
+    alpha = real(alpha, "exponent must lie in (0, 1]", TINY, 1.0)
     return math.ceil(1.0 / alpha - _BRANCH_COUNT_FUZZ)
 
 
@@ -54,7 +49,7 @@ def nth_roots(s: Complex, n: int) -> list[Complex]:
 
     Index k holds r**(1/n) * [cos((phi + 2*k*pi)/n) + j*sin(...)].
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"root order must be a positive integer, got {n!r}")
     if s.is_zero():
         raise ValueError("roots of zero are undefined (argument of zero)")
@@ -76,7 +71,7 @@ def pow_branch(s: Complex, alpha: float, k: int) -> Complex:
     nth_roots(s, n)[k].
     """
     count = branch_count(alpha)
-    if not isinstance(k, int) or not (0 <= k < count):
+    if type(k) is not int or not (0 <= k < count):
         raise ValueError(
             f"branch index must be an integer in [0, {count - 1}], got {k!r}"
         )
@@ -95,8 +90,7 @@ def principal_pow(s: Complex, alpha: float) -> Complex:
     s), which is what the transfer-function evaluator needs for terms
     like s**1.2.  Agrees with pow_branch(s, alpha, 0) on (0, 1].
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"exponent must be finite and >= 0, got {alpha!r}")
+    alpha = real(alpha, "exponent must be finite and >= 0", 0.0)
     if s.is_zero():
         raise ValueError("fractional power of zero is undefined")
     p = to_polar(s)

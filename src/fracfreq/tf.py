@@ -19,21 +19,15 @@ polynomial that cancels to nothing is kept as the single constant term
 0; it is legal as a numerator but rejected as a denominator.
 """
 
-from __future__ import annotations
-
 import math
 import re
-import sys
-from functools import cached_property
 
-from ._value import Value, as_double
+from ._value import OMEGA, Value, real
 from .closed_form import j_pow
 from .complexmath import Complex
 
 # |D(j*omega)| below this aborts evaluation rather than dividing.
 DENOMINATOR_EPS = 1e-300
-
-_DBL_MAX = sys.float_info.max
 
 
 class ParseError(ValueError):
@@ -58,13 +52,10 @@ class FracTerm(Value):
     __slots__ = _fields = ("coeff", "exponent")
 
     def __init__(self, coeff: float, exponent: float) -> None:
-        c, e = as_double(coeff), as_double(exponent)
-        if not math.isfinite(c):
-            raise ValueError(f"coefficient must be finite, got {coeff!r}")
-        if not (math.isfinite(e) and e >= 0.0):
-            raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "exponent", e)
+        coeff = real(coeff, "coefficient must be finite")
+        exponent = real(exponent, "exponent must be finite and >= 0", 0.0)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exponent", exponent)
 
 
 _ZERO_TERM = FracTerm(0.0, 0.0)
@@ -73,8 +64,7 @@ _ZERO_TERM = FracTerm(0.0, 0.0)
 class FracPoly(Value):
     """Normalized sum of terms, exponents strictly decreasing, never empty."""
 
-    # The __dict__ slot holds jomega_terms once computed.
-    __slots__ = ("terms", "__dict__")
+    __slots__ = ("terms", "jomega_terms")
     _fields = ("terms",)
 
     def __init__(self, terms: tuple[FracTerm, ...]) -> None:
@@ -90,6 +80,10 @@ class FracPoly(Value):
         if any(t.coeff == 0.0 for t in terms) and terms != (_ZERO_TERM,):
             raise ValueError("zero-coefficient terms must be dropped at normalization")
         object.__setattr__(self, "terms", terms)
+        # (e, c, j**e) per term: c*s**e at s = j*omega is c * (omega**e * j**e).
+        object.__setattr__(
+            self, "jomega_terms", tuple((t.exponent, t.coeff, j_pow(t.exponent)) for t in terms)
+        )
 
     @classmethod
     def from_terms(cls, terms) -> "FracPoly":
@@ -106,13 +100,6 @@ class FracPoly(Value):
     @classmethod
     def constant(cls, value: float) -> "FracPoly":
         return cls.from_terms([FracTerm(value, 0.0)])
-
-    @cached_property
-    def jomega_terms(self) -> tuple[tuple[float, float, complex], ...]:
-        """(e, c, j**e) per term, computed once: c*s**e at s = j*omega is
-        c * (omega**e * j**e).
-        """
-        return tuple((t.exponent, t.coeff, j_pow(t.exponent)) for t in self.terms)
 
     def is_zero(self) -> bool:
         return self.terms == (_ZERO_TERM,)
@@ -281,15 +268,6 @@ def pretty_print(tf: FracTF) -> str:
 # --- evaluator -----------------------------------------------------------
 
 
-def _check_omega(omega: float) -> None:
-    # Compared, not converted: an int beyond the double range fails here.
-    # A bool is an int, not a frequency; the JSON template would write True.
-    if not (
-        isinstance(omega, (int, float)) and type(omega) is not bool and 0.0 < omega <= _DBL_MAX
-    ):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
-
-
 def _finite(z: complex, omega: float) -> complex:
     """z when |z| is a finite double; otherwise EvaluationError at omega."""
     if math.hypot(z.real, z.imag) < math.inf:
@@ -312,7 +290,7 @@ def _poly_at(p: FracPoly, omega: float) -> complex:
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
     """Value of the polynomial at s = j*omega; EvaluationError (carrying omega) on overflow."""
-    _check_omega(omega)
+    omega = real(omega, *OMEGA)
     z = _finite(_poly_at(p, omega), omega)
     return Complex(z.real, z.imag)
 
@@ -323,8 +301,8 @@ def _h_at(tf: FracTF, omega: float) -> complex:
     CPython's complex division is Smith's scaled method and never forms
     |D|**2.  Raises EvaluationError (carrying omega) when |D| is below
     DENOMINATOR_EPS, or when an omega**e, |D| or |N/D| is not finite.
+    omega must already be a positive finite float: callers convert it.
     """
-    _check_omega(omega)
     d = _poly_at(tf.denominator, omega)
     d_mag = math.hypot(d.real, d.imag)
     if not d_mag < math.inf:  # inf or nan
@@ -340,5 +318,5 @@ def eval_tf(tf: FracTF, omega: float) -> Complex:
     Raises EvaluationError (carrying omega) when the denominator's
     magnitude falls below DENOMINATOR_EPS or a value overflows.
     """
-    h = _h_at(tf, omega)
+    h = _h_at(tf, real(omega, *OMEGA))
     return Complex(h.real, h.imag)

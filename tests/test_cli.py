@@ -237,7 +237,15 @@ class TestEntryPoint:
         # CLI wall time is mostly interpreter start and import; none of these
         # may come back unnoticed.  Only modules the import adds count, since
         # site may already have loaded some of them.
-        forbidden = {"json", "dataclasses", "inspect", "pathlib", "fracfreq.roots", "fracfreq.point"}
+        forbidden = {
+            "json",
+            "dataclasses",
+            "inspect",
+            "pathlib",
+            "__future__",
+            "fracfreq.roots",
+            "fracfreq.point",
+        }
         code = (
             "import sys; before = set(sys.modules); import fracfreq.cli; "
             f"print(sorted((set(sys.modules) - before) & {forbidden!r}))"

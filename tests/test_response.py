@@ -1,9 +1,10 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -100,6 +101,27 @@ class TestFrequencyGrid:
         assert pts[-1] == wmin * ratio
         assert all(a < b for a, b in zip(pts, pts[1:]))
 
+    @given(
+        st.floats(min_value=5e-324, max_value=sys.float_info.max),
+        st.floats(min_value=5e-324, max_value=sys.float_info.max),
+        st.integers(min_value=1, max_value=10**9),
+    )
+    @example(5e-324, sys.float_info.max, 31)
+    @example(5e-324, 1e-323, 10**9)
+    @example(1e308, sys.float_info.max, 10**9)
+    def test_points_are_positive_finite_doubles(self, a, b, ppd):
+        # The sweep kernel does not check omega; this is why it need not.
+        lo, hi = min(a, b), max(a, b)
+        assume(lo < hi)
+        decades = math.log10(hi) - math.log10(lo)
+        if decades > 0.0:
+            ppd = min(ppd, max(1, int(20_000 / decades)))
+        pts = FrequencyGrid(lo, hi, ppd).points()
+        assert pts[0] == lo and pts[-1] == hi
+        assert all(type(w) is float and 0.0 < w <= sys.float_info.max for w in pts)
+        # Non-decreasing, not ascending: neighbouring subnormals can round equal.
+        assert all(a <= b for a, b in zip(pts, pts[1:]))
+
 
 class TestSweep:
     def test_points_are_dataclasses(self):
@@ -140,6 +162,11 @@ class TestSweep:
         assert p.mag_linear == 0.0
         assert p.mag_db == -math.inf
         assert p.phase_rad == 0.0
+
+    def test_int_omega_is_stored_as_double(self):
+        tf = parse_tf("10000/s^0.5")
+        assert response_at(tf, 2).omega == 2.0
+        assert emit([response_at(tf, 2)], "json") == emit([response_at(tf, 2.0)], "json")
 
     @pytest.mark.parametrize("omega", [10**400, True], ids=["int_beyond_double", "bool"])
     def test_omega_not_a_double_rejected(self, omega):

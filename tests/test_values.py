@@ -1,6 +1,7 @@
 """The value-type contract of the package's immutable records."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -15,11 +16,19 @@ from fracfreq import (
     FracTF,
     FrequencyGrid,
     PolarForm,
+    branch_count,
+    eval_poly,
+    eval_tf,
+    nth_roots,
     parse_tf,
+    pow_branch,
+    principal_pow,
+    response_at,
 )
 
 # (factory, repr, one field name).  Each repr is the string these types
-# printed as frozen dataclasses.
+# printed as frozen dataclasses, except that a real field given as an
+# int is now stored, and printed, as a double.
 EXAMPLES = [
     (lambda: FracTerm(2, 0.5), "FracTerm(coeff=2.0, exponent=0.5)", "coeff"),
     (
@@ -40,7 +49,7 @@ EXAMPLES = [
         "omega_max",
     ),
     (lambda: Complex(1, -2.5), "Complex(re=1.0, im=-2.5)", "im"),
-    (lambda: CaseIParams(2, 0.25), "CaseIParams(omega=2, alpha=0.25)", "alpha"),
+    (lambda: CaseIParams(2, 0.25), "CaseIParams(omega=2.0, alpha=0.25)", "alpha"),
     (
         lambda: CaseIIParams(1.0, 2.0, 10.0, 0.5),
         "CaseIIParams(a=1.0, b=2.0, omega=10.0, alpha=0.5)",
@@ -151,6 +160,115 @@ def test_jomega_terms_computed_once():
 )
 def test_int_beyond_double_is_value_error(make):
     with pytest.raises(ValueError, match="must"):
+        make()
+
+
+TF = parse_tf("1/(s^0.5+1)")
+
+# (parameter, its rule, a call that passes x as that parameter, one
+# value outside the parameter's range).
+REAL_PARAMETERS = [
+    ("FracTerm-coeff", "coefficient must be finite", lambda x: FracTerm(x, 1.0), "one"),
+    ("FracTerm-exponent", "exponent must be finite and >= 0", lambda x: FracTerm(1.0, x), -0.5),
+    (
+        "FrequencyGrid-omega_min",
+        "omega_min must be finite and > 0",
+        lambda x: FrequencyGrid(x, 10.0),
+        0.0,
+    ),
+    (
+        "FrequencyGrid-omega_max",
+        "omega_max must be finite and > omega_min",
+        lambda x: FrequencyGrid(0.1, x),
+        0.1,
+    ),
+    ("Complex-re", "real part must be finite", lambda x: Complex(x, 0.0), "one"),
+    ("Complex-im", "imaginary part must be finite", lambda x: Complex(0.0, x), "one"),
+    ("CaseIParams-omega", "omega must be finite and > 0", lambda x: CaseIParams(x, 0.5), 0.0),
+    (
+        "CaseIParams-alpha",
+        "alpha must lie strictly in (0, 1)",
+        lambda x: CaseIParams(1.0, x),
+        1.0,
+    ),
+    ("CaseIIParams-a", "gain a must be finite and > 0", lambda x: CaseIIParams(x, 1, 1, 0.5), 0.0),
+    (
+        "CaseIIParams-b",
+        "offset b must be finite and > 0",
+        lambda x: CaseIIParams(1, x, 1, 0.5),
+        -1.0,
+    ),
+    (
+        "CaseIIParams-omega",
+        "omega must be finite and > 0",
+        lambda x: CaseIIParams(1, 1, x, 0.5),
+        -0.0,
+    ),
+    (
+        "CaseIIParams-alpha",
+        "alpha must lie strictly in (0, 1)",
+        lambda x: CaseIIParams(1, 1, 1, x),
+        0.0,
+    ),
+    ("PolarForm-r", "modulus must be finite and >= 0", lambda x: PolarForm(x, 0.0), -1.0),
+    ("PolarForm-phi", "angle must lie in (-pi, pi]", lambda x: PolarForm(1.0, x), -math.pi),
+    (
+        "principal_pow-alpha",
+        "exponent must be finite and >= 0",
+        lambda x: principal_pow(Complex(1.0, 0.0), x),
+        -1.0,
+    ),
+    ("branch_count-alpha", "exponent must lie in (0, 1]", branch_count, 1.5),
+    ("eval_tf-omega", "omega must be finite and > 0", lambda x: eval_tf(TF, x), 0.0),
+    (
+        "eval_poly-omega",
+        "omega must be finite and > 0",
+        lambda x: eval_poly(TF.denominator, x),
+        0.0,
+    ),
+    ("response_at-omega", "omega must be finite and > 0", lambda x: response_at(TF, x), -1.0),
+]
+NOT_IN_ANY_RANGE = [
+    (True, "bool"),
+    (10**5000, "int_beyond_double"),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,rule,x",
+    [
+        (call, rule, x)
+        for _, rule, call, out in REAL_PARAMETERS
+        for x, _ in NOT_IN_ANY_RANGE + [(out, "out_of_range")]
+    ],
+    ids=[
+        f"{name}-{label}"
+        for name, *_ in REAL_PARAMETERS
+        for _, label in NOT_IN_ANY_RANGE + [(None, "out_of_range")]
+    ],
+)
+def test_bad_real_raises_its_rule(call, rule, x):
+    with pytest.raises(ValueError) as excinfo:
+        call(x)
+    message = str(excinfo.value)
+    assert message.startswith(rule + ", got "), message
+    assert len(message) < 200
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FrequencyGrid(0.1, 10.0, True),
+        lambda: nth_roots(Complex(1.0, 0.0), True),
+        lambda: pow_branch(Complex(1.0, 0.0), 0.5, True),
+    ],
+    ids=["FrequencyGrid-points_per_decade", "nth_roots-n", "pow_branch-k"],
+)
+def test_bool_count_is_value_error(make):
+    with pytest.raises(ValueError, match="integer"):
         make()
 
 
