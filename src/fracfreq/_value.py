@@ -1,4 +1,4 @@
-"""The immutable value base of the package's record types, and the one check of real inputs."""
+"""The immutable base of the package's record types, and the one check of each input kind."""
 
 import math
 
@@ -29,6 +29,19 @@ def real(x, rule: str, low: float = -DBL_MAX, high: float = DBL_MAX) -> float:
                 return v
             raise ValueError(f"{rule}, got {v!r}")
     raise ValueError(f"{rule}, got {type(x).__name__}")
+
+
+def count(x, rule: str, low: int, high: float) -> int:
+    """x when it is an int in [low, high]; otherwise ValueError(f"{rule}, got ...").
+
+    The one check of every integer count; a bool is not a count.  The
+    message shows x when it is an int that fits in 64 bits, and x's
+    type name otherwise, so a huge int is never written out in decimal.
+    """
+    if type(x) is int and low <= x <= high:
+        return x
+    shown = x if isinstance(x, int) and x.bit_length() < 64 else type(x).__name__
+    raise ValueError(f"{rule}, got {shown}")
 
 
 class Value:

@@ -7,8 +7,9 @@ strictly fractional exponent:
 * affine power   a*(j*w)**a + b     -> (b + a*w**a*cos(a*pi/2)) + j*a*w**a*sin(a*pi/2)
 
 Every function here is a direct trigonometric formula built on
-``j_pow``, the one place the unit value j**e = exp(j*e*pi/2) is
-computed; the transfer-function evaluator uses it too.  The test suite
+``complexmath.j_pow``, the one place the unit value j**e =
+exp(j*e*pi/2) is computed; the transfer-function evaluator uses it
+too, and so loads without this module.  The test suite
 keeps them honest against roots.principal_pow, which computes the same
 quantities from the polar decomposition.
 """
@@ -16,24 +17,7 @@ quantities from the polar decomposition.
 import math
 
 from ._value import OMEGA, TINY, Value, real
-from .complexmath import Complex
-
-# j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
-_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
-
-
-def j_pow(e: float) -> complex:
-    """j**e = exp(j*e*pi/2) = cos(e*pi/2) + j*sin(e*pi/2).
-
-    The angle is reduced exactly with fmod(e, 4) first; an integer
-    remainder returns the exact unit value for that quarter turn.
-    """
-    turns = math.fmod(e, 4.0)
-    if turns.is_integer():
-        return _QUARTER_TURNS[int(turns)]
-    half = turns * math.pi / 2.0
-    return complex(math.cos(half), math.sin(half))
-
+from .complexmath import Complex, j_pow
 
 # alpha's rule and the closed bounds of the open interval 0 < alpha < 1.
 _ALPHA = ("alpha must lie strictly in (0, 1)", TINY, math.nextafter(1.0, 0.0))

@@ -4,7 +4,9 @@ The built-in ``complex`` type happily carries infinities and NaNs and
 returns -pi for arguments on the lower edge of the branch cut.  This
 module pins down the semantics the rest of the library depends on:
 every value is finite by construction, and the principal argument lies
-in the half-open interval (-pi, pi].
+in the half-open interval (-pi, pi].  It also holds ``j_pow``, the unit
+value j**e on the builtin ``complex`` that both the transfer-function
+evaluator and the closed forms build on.
 """
 
 import math
@@ -25,11 +27,6 @@ class Complex(Value):
 
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0
-
-
-ZERO = Complex(0.0, 0.0)
-ONE = Complex(1.0, 0.0)
-J = Complex(0.0, 1.0)
 
 
 def add(a: Complex, b: Complex) -> Complex:
@@ -77,3 +74,20 @@ def principal_angle(re: float, im: float) -> float:
     """atan2(im, re) with -pi folded to +pi, so the angle lies in (-pi, pi]."""
     phi = math.atan2(im, re)
     return math.pi if phi == -math.pi else phi
+
+
+# j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+
+
+def j_pow(e: float) -> complex:
+    """j**e = exp(j*e*pi/2) = cos(e*pi/2) + j*sin(e*pi/2).
+
+    The angle is reduced exactly with fmod(e, 4) first; an integer
+    remainder returns the exact unit value for that quarter turn.
+    """
+    turns = math.fmod(e, 4.0)
+    if turns.is_integer():
+        return _QUARTER_TURNS[int(turns)]
+    half = turns * math.pi / 2.0
+    return complex(math.cos(half), math.sin(half))

@@ -7,7 +7,7 @@ byte-identical CSV and JSON.
 
 import math
 
-from ._value import OMEGA, TINY, Value, real
+from ._value import OMEGA, TINY, Value, count, real
 from .complexmath import principal_angle
 from .tf import FracTF, _h_at
 
@@ -40,14 +40,11 @@ class FrequencyGrid(Value):
         lo = real(omega_min, "omega_min must be finite and > 0", TINY)
         above_lo = math.nextafter(lo, math.inf)
         hi = real(omega_max, "omega_max must be finite and > omega_min", above_lo)
-        if not (type(points_per_decade) is int and points_per_decade >= 1):
-            raise ValueError(
-                f"points_per_decade must be a positive integer, got {points_per_decade!r}"
-            )
+        ppd = count(points_per_decade, "points_per_decade must be a positive integer", 1, math.inf)
         # Stored as floats, so that equal grids give equal points and equal bytes.
         object.__setattr__(self, "omega_min", lo)
         object.__setattr__(self, "omega_max", hi)
-        object.__setattr__(self, "points_per_decade", points_per_decade)
+        object.__setattr__(self, "points_per_decade", ppd)
         try:
             samples = self._log_span()[2] + 1
         except OverflowError:  # points_per_decade * decades is beyond a double

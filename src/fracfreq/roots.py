@@ -9,8 +9,9 @@ evaluator that the closed-form module is tested against.
 """
 
 import math
+import sys
 
-from ._value import TINY, Value, real
+from ._value import TINY, Value, count, real
 from .complexmath import Complex, argument, magnitude
 
 # Forgives the binary rounding of alpha = 1/n when counting branches,
@@ -49,8 +50,8 @@ def nth_roots(s: Complex, n: int) -> list[Complex]:
 
     Index k holds r**(1/n) * [cos((phi + 2*k*pi)/n) + j*sin(...)].
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"root order must be a positive integer, got {n!r}")
+    # A list holds at most sys.maxsize values.
+    n = count(n, "root order must be a positive integer", 1, sys.maxsize)
     if s.is_zero():
         raise ValueError("roots of zero are undefined (argument of zero)")
     p = to_polar(s)
@@ -70,11 +71,8 @@ def pow_branch(s: Complex, alpha: float, k: int) -> Complex:
     to branch_count(alpha) - 1; pow_branch(s, 1/n, k) equals
     nth_roots(s, n)[k].
     """
-    count = branch_count(alpha)
-    if type(k) is not int or not (0 <= k < count):
-        raise ValueError(
-            f"branch index must be an integer in [0, {count - 1}], got {k!r}"
-        )
+    last = branch_count(alpha) - 1
+    k = count(k, f"branch index must be an integer in [0, {last}]", 0, last)
     if s.is_zero():
         raise ValueError("fractional power of zero is undefined")
     p = to_polar(s)

@@ -23,8 +23,7 @@ import math
 import re
 
 from ._value import OMEGA, Value, real
-from .closed_form import j_pow
-from .complexmath import Complex
+from .complexmath import Complex, j_pow
 
 # |D(j*omega)| below this aborts evaluation rather than dividing.
 DENOMINATOR_EPS = 1e-300

@@ -245,6 +245,7 @@ class TestEntryPoint:
             "__future__",
             "fracfreq.roots",
             "fracfreq.point",
+            "fracfreq.closed_form",
         }
         code = (
             "import sys; before = set(sys.modules); import fracfreq.cli; "

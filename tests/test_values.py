@@ -3,6 +3,8 @@
 import copy
 import math
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +27,8 @@ from fracfreq import (
     principal_pow,
     response_at,
 )
+from fracfreq.response import MAX_GRID_POINTS
+from helpers import child_env
 
 # (factory, repr, one field name).  Each repr is the string these types
 # printed as frozen dataclasses, except that a real field given as an
@@ -272,6 +276,62 @@ def test_bool_count_is_value_error(make):
         make()
 
 
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "make,rule",
+    [
+        (lambda: FrequencyGrid(0.1, 10.0, -HUGE), "points_per_decade must be a positive integer"),
+        (lambda: FrequencyGrid(0.1, 10.0, HUGE), f"grid would have more than {MAX_GRID_POINTS}"),
+        (lambda: nth_roots(Complex(1.0, 0.0), -HUGE), "root order must be a positive integer"),
+        (lambda: nth_roots(Complex(1.0, 0.0), HUGE), "root order must be a positive integer"),
+        (lambda: pow_branch(Complex(1.0, 0.0), 0.5, -HUGE), "branch index must be an integer"),
+        (lambda: pow_branch(Complex(1.0, 0.0), 0.5, HUGE), "branch index must be an integer"),
+    ],
+    ids=[
+        f"{name}-{sign}"
+        for name in ("FrequencyGrid-points_per_decade", "nth_roots-n", "pow_branch-k")
+        for sign in ("negative", "positive")
+    ],
+)
+def test_huge_count_raises_its_rule(make, rule):
+    # An int of over 4,300 digits has no decimal string; the message must not need one.
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    message = str(excinfo.value)
+    assert message.startswith(rule), message
+    assert len(message) < 200
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (
+            lambda: FrequencyGrid(0.1, 10.0, 0),
+            "points_per_decade must be a positive integer, got 0",
+        ),
+        (
+            lambda: nth_roots(Complex(1.0, 0.0), -3),
+            "root order must be a positive integer, got -3",
+        ),
+        (
+            lambda: pow_branch(Complex(1.0, 0.0), 0.5, 2),
+            "branch index must be an integer in [0, 1], got 2",
+        ),
+        (
+            lambda: pow_branch(Complex(1.0, 0.0), 0.5, True),
+            "branch index must be an integer in [0, 1], got True",
+        ),
+    ],
+    ids=["FrequencyGrid-zero", "nth_roots-negative", "pow_branch-past_last", "pow_branch-bool"],
+)
+def test_small_bad_count_message_shows_it(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 def test_every_public_name_resolves():
     for name in fracfreq.__all__:
         getattr(fracfreq, name)
@@ -280,3 +340,31 @@ def test_every_public_name_resolves():
     assert set(fracfreq.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         fracfreq.no_such_name
+
+
+def test_public_names_are_pinned():
+    # __all__ is derived from the package's name table; a name dropped
+    # from the table would vanish from __all__ and still "resolve".
+    assert set(fracfreq.__all__) == {
+        "CSV_HEADER", "CaseIIParams", "CaseIParams", "Complex", "EvaluationError",
+        "FORMATS", "FracPoly", "FracTF", "FracTerm", "FrequencyGrid", "ParseError",
+        "PolarForm", "ResponsePoint", "add", "affine_arg", "affine_jomega", "affine_mag",
+        "affine_mag_omega2_cross_term", "argument", "branch_count", "div", "emit",
+        "eval_poly", "eval_tf", "format_poly", "format_value", "jomega_pow",
+        "jomega_pow_arg", "jomega_pow_mag", "magnitude", "mul", "nth_roots", "parse_tf",
+        "pow_branch", "pretty_print", "principal_pow", "response_at", "sweep",
+        "to_polar", "__version__",
+    }
+
+
+def test_import_loads_no_submodule():
+    # Every submodule loads on the first use of one of its names.
+    code = (
+        "import sys; before = set(sys.modules); import fracfreq; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().strip() == "['fracfreq']"
