@@ -3,8 +3,10 @@
 import math
 
 # The bounds of real(): the largest finite double and the smallest
-# positive one, so "> 0" is the closed bound TINY.
+# positive one, so "> 0" is the closed bound TINY.  Below the smallest
+# normal double, DBL_MIN, a sum has lost relative precision.
 DBL_MAX = math.nextafter(math.inf, 0.0)
+DBL_MIN = 2.0**-1022
 TINY = math.ulp(0.0)
 
 # The rule and lower bound of every angular frequency: real(omega, *OMEGA).

@@ -5,8 +5,8 @@ returns -pi for arguments on the lower edge of the branch cut.  This
 module pins down the semantics the rest of the library depends on:
 every value is finite by construction, and the principal argument lies
 in the half-open interval (-pi, pi].  It also holds ``j_pow``, the unit
-value j**e on the builtin ``complex`` that both the transfer-function
-evaluator and the closed forms build on.
+value j**e on the builtin ``complex``, reduced to the nearest quarter
+turn, that both the transfer-function evaluator and the closed forms use.
 """
 
 import math
@@ -83,11 +83,11 @@ _QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), comp
 def j_pow(e: float) -> complex:
     """j**e = exp(j*e*pi/2) = cos(e*pi/2) + j*sin(e*pi/2).
 
-    The angle is reduced exactly with fmod(e, 4) first; an integer
-    remainder returns the exact unit value for that quarter turn.
+    turns = fmod(e, 4), its nearest integer k and r = turns - k are exact
+    (Sterbenz), so j**k * (cos(r*pi/2) + j*sin(r*pi/2)) rounds only the
+    angle r*pi/2: an integer e gives the exact quarter turn.
     """
     turns = math.fmod(e, 4.0)
-    if turns.is_integer():
-        return _QUARTER_TURNS[int(turns)]
-    half = turns * math.pi / 2.0
-    return complex(math.cos(half), math.sin(half))
+    k = round(turns)
+    half = (turns - k) * math.pi / 2.0
+    return _QUARTER_TURNS[k % 4] * complex(math.cos(half), math.sin(half))

@@ -22,11 +22,8 @@ polynomial that cancels to nothing is kept as the single constant term
 import math
 import re
 
-from ._value import OMEGA, Value, real
+from ._value import DBL_MIN, OMEGA, Value, real
 from .complexmath import Complex, j_pow
-
-# |D(j*omega)| below this aborts evaluation rather than dividing.
-DENOMINATOR_EPS = 1e-300
 
 
 class ParseError(ValueError):
@@ -299,14 +296,14 @@ def _h_at(tf: FracTF, omega: float) -> complex:
 
     CPython's complex division is Smith's scaled method and never forms
     |D|**2.  Raises EvaluationError (carrying omega) when |D| is below
-    DENOMINATOR_EPS, or when an omega**e, |D| or |N/D| is not finite.
+    DBL_MIN, or when an omega**e, |D| or |N/D| is not finite.
     omega must already be a positive finite float: callers convert it.
     """
     d = _poly_at(tf.denominator, omega)
     d_mag = math.hypot(d.real, d.imag)
     if not d_mag < math.inf:  # inf or nan
         raise EvaluationError("a value overflows", omega)
-    if d_mag < DENOMINATOR_EPS:
+    if d_mag < DBL_MIN:
         raise EvaluationError("denominator vanishes", omega)
     return _finite(_poly_at(tf.numerator, omega) / d, omega)
 
@@ -315,7 +312,7 @@ def eval_tf(tf: FracTF, omega: float) -> Complex:
     """N(j*omega)/D(j*omega).
 
     Raises EvaluationError (carrying omega) when the denominator's
-    magnitude falls below DENOMINATOR_EPS or a value overflows.
+    magnitude is zero or subnormal, or a value overflows.
     """
     h = _h_at(tf, real(omega, *OMEGA))
     return Complex(h.real, h.imag)

@@ -6,10 +6,11 @@ Complex equality is always tolerance based (componentwise, absolute
 
 import math
 import os
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import fracfreq
-from fracfreq import Complex, mul
+from fracfreq import Complex, FracPoly, mul
 
 
 def close(x: float, y: float, rel: float = 1e-12, abs_tol: float = 1e-12) -> bool:
@@ -50,3 +51,54 @@ def child_env() -> dict[str, str]:
     src = str(Path(fracfreq.__file__).resolve().parent.parent)
     parts = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(parts)}
+
+
+# The exact reference: 60 significant digits, so its own rounding (~1e-58
+# relative) never shows next to a double's unit roundoff 2**-53 ~ 1.1e-16.
+REFERENCE = Context(prec=60)
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the context's precision (the recipe in the ``decimal`` docs)."""
+    lasts, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return s
+
+
+def _decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos(x) and sin(x) by their Taylor series (the ``decimal`` docs' two recipes, in one loop)."""
+    cos, sin, term, i = Decimal(0), Decimal(0), Decimal(1), 0
+    while True:
+        last = (cos, sin)
+        cos += term
+        term = term * x / (i + 1)
+        sin += term
+        term = -term * x / (i + 2)
+        i += 2
+        if (cos, sin) == last:
+            return cos, sin
+
+
+def decimal_poly(p: FracPoly, omega: float) -> tuple[Decimal, Decimal, Decimal]:
+    """p at s = j*omega from the exact doubles of omega and p's terms.
+
+    Returns (re, im, sum of |c * omega**e|) in the REFERENCE context:
+    omega**e by ``Decimal.__pow__``, and j**e as cos + j*sin of the
+    angle (e mod 4) * pi/2, with e mod 4 taken in decimal.
+    """
+    with localcontext(REFERENCE):
+        half_pi = _decimal_pi() / 2
+        w = Decimal(omega)
+        re = im = total = Decimal(0)
+        for t in p.terms:
+            size = Decimal(t.coeff) * w ** Decimal(t.exponent)
+            cos, sin = _decimal_cos_sin(Decimal(t.exponent) % 4 * half_pi)
+            re += size * cos
+            im += size * sin
+            total += abs(size)
+    return re, im, total

@@ -105,6 +105,14 @@ class TestMain:
         assert out == b""
         assert "omega=1.0" in err
 
+    def test_eval_error_at_exponents_two_apart(self, capsysbinary):
+        # j**1.5 = -j**3.5 exactly, so D(j) = 0.
+        argv = ["--tf", "1/(s^1.5+s^3.5)", "--wmin", "0.5", "--wmax", "1", "--ppd", "1"]
+        code, out, err = run_main(argv, capsysbinary)
+        assert code == EXIT_EVAL_ERROR
+        assert out == b""
+        assert "omega=1.0" in err
+
     @pytest.mark.parametrize(
         "text,wmin,wmax,mag",
         [("1/s^170", "0.1", "1", 1e170), ("1/s^200", "10", "20", 1e-200)],

@@ -1,11 +1,14 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fracfreq import Complex, add, argument, div, magnitude, mul
-from helpers import angles_close, close, complex_close
+from fracfreq import Complex, FracPoly, FracTerm, add, argument, div, magnitude, mul
+from fracfreq.complexmath import j_pow
+from helpers import angles_close, close, complex_close, decimal_poly
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 values = st.builds(Complex, finite, finite)
@@ -154,3 +157,27 @@ class TestAlgebraicLaws:
         scale = magnitude(a) * (magnitude(b) + magnitude(c)) + 1.0
         assert close(lhs.re, rhs.re, abs_tol=1e-12 * scale)
         assert close(lhs.im, rhs.im, abs_tol=1e-12 * scale)
+
+
+class TestJPow:
+    @pytest.mark.parametrize("k", range(41))
+    def test_integer_exponent_is_exact_unit(self, k):
+        assert j_pow(float(k)) == (1, 1j, -1, -1j)[k % 4]
+
+    @given(st.floats(min_value=0.0, max_value=2.0**52).filter(lambda e: Fraction(e) + 2 == e + 2.0))
+    def test_two_apart_are_exact_negatives(self, e):
+        # Only the angle past the nearest quarter turn is rounded, and it is the same for both.
+        assert j_pow(e + 2.0) == -j_pow(e)
+
+    @example(2.00000001)
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    def test_each_part_within_4_ulp_of_decimal_reference(self, e):
+        # r*pi/2 rounds twice and cos or sin once, and the quarter turn is
+        # exact, so each part keeps its relative accuracy even near 0.  A
+        # subnormal r*pi/2 loses up to ulp(0) absolute, and the reference
+        # itself is off by ~1e-59 where a part is 0.
+        want_re, want_im, _ = decimal_poly(FracPoly.from_terms([FracTerm(1.0, e)]), 1.0)
+        z = j_pow(e)
+        slack = Decimal(math.ulp(0.0)) + Decimal("1e-50")
+        for got, want in ((z.real, want_re), (z.imag, want_im)):
+            assert abs(Decimal(got) - want) <= 4 * Decimal(2) ** -53 * abs(want) + slack

@@ -1,7 +1,9 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -29,7 +31,7 @@ from fracfreq import (
     response_at,
     sweep,
 )
-from helpers import close, complex_close
+from helpers import REFERENCE, close, complex_close, decimal_poly
 
 
 def tf_of(num_terms, den_terms) -> FracTF:
@@ -286,6 +288,36 @@ class TestEvalTF:
         assert excinfo.value.omega == 2.5
         assert "2.5" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text", ["1/(s^1.5+s^3.5)", "1/(s^1.00000001+s^3.00000001)"])
+    def test_exponents_two_apart_cancel_exactly(self, text):
+        # j**e = -j**(e+2), so D(j) is exactly 0 for both.
+        with pytest.raises(EvaluationError, match="^denominator vanishes at omega=1.0$"):
+            eval_tf(parse_tf(text), 1.0)
+
+    def test_near_quarter_turn_keeps_its_digits(self):
+        # D(j) = 1 + j**2.00000001 ~ -1.57e-8j after the 1 cancels, so an
+        # absolute error of ~2e-16 in the whole angle would cost 1e-8 here.
+        mag = response_at(parse_tf("1/(s^2.00000001+1)"), 1.0).mag_linear
+        assert close(mag, 63661977.623661956, rel=1e-15, abs_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "text,omega,mag,phase",
+        [
+            ("1/s^1000", 0.5, 1.0715086071862673e301, 0.0),
+            ("1/(s^2-1e-305)", 1e-160, 1e305, math.pi),
+            ("1/2.2250738585072014e-308", 1.0, 4.4942328371557898e307, 0.0),
+        ],
+    )
+    def test_normal_denominator_divides(self, text, omega, mag, phase):
+        p = response_at(parse_tf(text), omega)
+        assert close(p.mag_linear, mag, abs_tol=0.0)
+        assert p.phase_rad == phase
+
+    def test_subnormal_denominator_vanishes(self):
+        # The largest subnormal, one ulp below the smallest normal double.
+        with pytest.raises(EvaluationError, match="^denominator vanishes at omega="):
+            eval_tf(parse_tf("1/2.2250738585072009e-308"), 1.0)
+
     @given(
         st.floats(min_value=1e-2, max_value=1e2),
         st.floats(min_value=1e-3, max_value=1e3),
@@ -358,6 +390,44 @@ class TestKernelAgainstOracle:
             assert excinfo.value.omega == exc.omega
             return
         assert sweep(tf, grid) == expected
+
+
+class TestKernelAgainstDecimalReference:
+    @given(kernel_polys, kernel_polys.filter(lambda p: not p.is_zero()), kernel_omegas)
+    def test_eval_tf_within_conditioned_bound(self, num, den, omega):
+        # Each term c*(omega**e * j**e) carries 8 roundings u in norm
+        # (omega**e 1, j**e 3, two products 2, sqrt(2) for a complex norm),
+        # a sum of m terms m - 1 more and Smith's division 4, so with
+        # cond = sum|n_k w**e_k| / |N| + sum|d_k w**e_k| / |D| (Higham,
+        # ch. 4), |H - ref| <= k*u*cond*|ref| for k = 12 + m_N + m_D,
+        # one more than the first-order sum.
+        # That is k*u*(sum_N + |ref|*sum_D) / |D|, which holds at N = 0 too.
+        # A subnormal product or quotient loses up to ulp(0) absolute
+        # instead: 2*ulp(0) per |c_k| + 1 in each sum, and for H.
+        k = 12 + len(num.terms) + len(den.terms)
+        with localcontext(REFERENCE):
+            u, tiny = Decimal(2) ** -53, Decimal(math.ulp(0.0))
+            n_re, n_im, n_sum = decimal_poly(num, omega)
+            d_re, d_im, d_sum = decimal_poly(den, omega)
+            d_mag = (d_re * d_re + d_im * d_im).sqrt()
+            assume(d_mag != 0)
+            h_re = (n_re * d_re + n_im * d_im) / d_mag**2
+            h_im = (n_im * d_re - n_re * d_im) / d_mag**2
+            h_mag = (h_re * h_re + h_im * h_im).sqrt()
+            n_slack = k * u * n_sum + 2 * tiny * sum(abs(Decimal(t.coeff)) + 1 for t in num.terms)
+            d_slack = k * u * d_sum + 2 * tiny * sum(abs(Decimal(t.coeff)) + 1 for t in den.terms)
+            bound = (n_slack + h_mag * d_slack) / d_mag + 2 * tiny
+            try:
+                h = eval_tf(FracTF(num, den), omega)
+            except EvaluationError as exc:
+                # Only a |D| that rounding can take below DBL_MIN, or an |H| past DBL_MAX.
+                if "vanishes" in str(exc):
+                    assert d_mag <= Decimal(sys.float_info.min) + d_slack
+                else:
+                    assert h_mag + bound >= Decimal(sys.float_info.max)
+                return
+            err = ((Decimal(h.re) - h_re) ** 2 + (Decimal(h.im) - h_im) ** 2).sqrt()
+            assert err <= bound
 
 
 class TestScaledDivision:
