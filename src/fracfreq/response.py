@@ -8,8 +8,7 @@ byte-identical CSV and JSON.
 import math
 
 from ._value import OMEGA, TINY, Value, count, real
-from .complexmath import principal_angle
-from .tf import FracTF, _h_at
+from .tf import FracTF, _h_on
 
 CSV_HEADER = "omega,mag_linear,mag_db,phase_rad,phase_deg"
 
@@ -17,6 +16,9 @@ FORMATS = ("csv", "json")
 
 # Largest grid FrequencyGrid accepts; points() builds the whole list.
 MAX_GRID_POINTS = 1_000_000
+
+# One CSV row; "%.16e" gives the same bytes as format_value.
+_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e\n"
 
 # One JSON array element in json.dumps(indent=2)'s layout.  %s, not %r:
 # json.dumps writes float.__repr__, which str() of a float subclass such
@@ -70,26 +72,29 @@ class FrequencyGrid(Value):
         return out
 
 
-def _row(tf: FracTF, omega: float) -> tuple[float, float, float, float, float]:
-    """The fields of response_at(tf, omega) as a plain tuple."""
-    h = _h_at(tf, omega)
-    # hypot, not abs(h): they differ in the last bit on ~0.6% of values; keep hypot's bytes.
-    mag = math.hypot(h.real, h.imag)
-    if mag == 0.0:
-        return (omega, mag, -math.inf, 0.0, 0.0)
-    phase = principal_angle(h.real, h.imag)
-    return (omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase))
+def _rows_on(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, float, float]]:
+    """The fields of response_at(tf, omega) as a plain tuple, for each omega."""
+    out = []
+    for omega, (h, mag) in zip(omegas, _h_on(tf, omegas)):
+        if mag == 0.0:
+            out.append((omega, mag, -math.inf, 0.0, 0.0))
+            continue
+        # complexmath.principal_angle, inline: no Python call per point.
+        phase = math.atan2(h.imag, h.real)
+        phase = math.pi if phase == -math.pi else phase
+        out.append((omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase)))
+    return out
 
 
 def rows(tf: FracTF, grid: FrequencyGrid) -> list[tuple[float, float, float, float, float]]:
-    """One _row per grid frequency, ascending omega; EvaluationError as sweep."""
-    return [_row(tf, omega) for omega in grid.points()]
+    """The fields of each sweep point as a plain tuple; EvaluationError as sweep."""
+    return _rows_on(tf, grid.points())
 
 
 def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
     from .point import ResponsePoint
 
-    return ResponsePoint(*_row(tf, real(omega, *OMEGA)))
+    return ResponsePoint(*_rows_on(tf, [real(omega, *OMEGA)])[0])
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
@@ -102,10 +107,6 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
     from .point import ResponsePoint
 
     return [ResponsePoint(*row) for row in rows(tf, grid)]
-
-
-def _fields(p: "ResponsePoint") -> tuple[float, float, float, float, float]:
-    return (p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg)
 
 
 def _json_values(fields: tuple) -> tuple:
@@ -128,15 +129,15 @@ def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:
     response is -Infinity.  The JSON bytes are those of
     json.dumps(..., indent=2) plus a line feed.
     """
-    return emit_rows([_fields(p) for p in points], format)
+    return emit_rows(
+        [(p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg) for p in points], format
+    )
 
 
 def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
     """emit for rows of (omega, mag_linear, mag_db, phase_rad, phase_deg)."""
     if format == "csv":
-        # One %-format per row; "%.16e" gives the same bytes as format_value.
-        lines = ["%.16e,%.16e,%.16e,%.16e,%.16e\n" % row for row in values]
-        return (CSV_HEADER + "\n" + "".join(lines)).encode("ascii")
+        return (CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, values))).encode("ascii")
     if format == "json":
         if not values:
             return b"[]\n"

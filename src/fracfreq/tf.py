@@ -264,55 +264,64 @@ def pretty_print(tf: FracTF) -> str:
 # --- evaluator -----------------------------------------------------------
 
 
-def _finite(z: complex, omega: float) -> complex:
-    """z when |z| is a finite double; otherwise EvaluationError at omega."""
-    if math.hypot(z.real, z.imag) < math.inf:
-        return z
-    raise EvaluationError("a value overflows", omega)
-
-
-def _poly_at(p: FracPoly, omega: float) -> complex:
-    """p at s = j*omega: the sum of c * (omega**e * j**e) over its terms,
-    c last, so a subnormal c costs one rounding of the whole term.  An
-    omega**e that overflows makes the sum infinite."""
-    acc = 0j
+def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
+    """p at s = j*omega for each omega, term-major: the column of sums
+    gains c * (omega**e * j**e) for one term at a time, c last, so a
+    subnormal c costs one rounding of the whole term.  An omega**e that
+    overflows makes that omega's sum infinite; the column is then redone
+    one omega at a time, so no other omega's value changes."""
+    acc = [0j] * len(omegas)
     try:
         for e, c, jj in p.jomega_terms:
-            acc += c * (omega**e * jj)
+            acc = [a + c * (w**e * jj) for a, w in zip(acc, omegas)]
     except OverflowError:
-        return complex(math.inf)
+        if len(omegas) == 1:
+            return [complex(math.inf)]
+        return [z for w in omegas for z in _poly_on(p, [w])]
     return acc
 
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
     """Value of the polynomial at s = j*omega; EvaluationError (carrying omega) on overflow."""
     omega = real(omega, *OMEGA)
-    z = _finite(_poly_at(p, omega), omega)
+    (z,) = _poly_on(p, [omega])
+    if not math.hypot(z.real, z.imag) < math.inf:
+        raise EvaluationError("a value overflows", omega)
     return Complex(z.real, z.imag)
 
 
-def _h_at(tf: FracTF, omega: float) -> complex:
-    """N(j*omega)/D(j*omega) as a builtin complex; the one per-point evaluator.
+def _h_on(tf: FracTF, omegas: list[float]) -> list[tuple[complex, float]]:
+    """(h, |h|) for each omega, h = N(j*omega)/D(j*omega) as a builtin complex.
 
     CPython's complex division is Smith's scaled method and never forms
-    |D|**2.  Raises EvaluationError (carrying omega) when |D| is below
-    DBL_MIN, or when an omega**e, |D| or |N/D| is not finite.
-    omega must already be a positive finite float: callers convert it.
+    |D|**2.  |h| is math.hypot's, not abs(h): they differ in the last bit
+    on ~0.6% of values, and hypot's are the bytes of earlier versions.
+    Raises EvaluationError at the first omega, in the order given, where
+    |D| is below DBL_MIN, or where an omega**e, |D| or |N/D| is not
+    finite.  Each omega must already be a positive finite float: callers
+    convert it.
     """
-    d = _poly_at(tf.denominator, omega)
-    d_mag = math.hypot(d.real, d.imag)
-    if not d_mag < math.inf:  # inf or nan
-        raise EvaluationError("a value overflows", omega)
-    if d_mag < DBL_MIN:
-        raise EvaluationError("denominator vanishes", omega)
-    return _finite(_poly_at(tf.numerator, omega) / d, omega)
+    out = []
+    columns = zip(omegas, _poly_on(tf.numerator, omegas), _poly_on(tf.denominator, omegas))
+    for omega, n, d in columns:
+        d_mag = math.hypot(d.real, d.imag)
+        if not d_mag < math.inf:  # inf or nan
+            raise EvaluationError("a value overflows", omega)
+        if d_mag < DBL_MIN:
+            raise EvaluationError("denominator vanishes", omega)
+        h = n / d
+        mag = math.hypot(h.real, h.imag)
+        if not mag < math.inf:
+            raise EvaluationError("a value overflows", omega)
+        out.append((h, mag))
+    return out
 
 
 def eval_tf(tf: FracTF, omega: float) -> Complex:
-    """N(j*omega)/D(j*omega).
+    """N(j*omega)/D(j*omega), by the sweep's evaluator on one point.
 
     Raises EvaluationError (carrying omega) when the denominator's
     magnitude is zero or subnormal, or a value overflows.
     """
-    h = _h_at(tf, real(omega, *OMEGA))
+    ((h, _),) = _h_on(tf, [real(omega, *OMEGA)])
     return Complex(h.real, h.imag)

@@ -4,21 +4,28 @@ import math
 import sys
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracfreq import (
     CSV_HEADER,
+    Complex,
     EvaluationError,
+    FracPoly,
+    FracTerm,
+    FracTF,
     FrequencyGrid,
     ResponsePoint,
     emit,
+    eval_poly,
+    eval_tf,
     format_value,
     parse_tf,
     response_at,
     sweep,
 )
-from fracfreq.response import MAX_GRID_POINTS
+from fracfreq.response import MAX_GRID_POINTS, rows
+from fracfreq.tf import _h_on, _poly_on
 from helpers import close
 
 DECADE_GRID = FrequencyGrid(1.0, 100.0, 1)
@@ -195,6 +202,88 @@ class TestSweep:
         pts = sweep(parse_tf(f"{c!r}*s^{alpha!r}"), grid)
         for lo, hi in zip(pts, pts[1:]):
             assert close(hi.mag_db - lo.mag_db, 20.0 * alpha, rel=0.0, abs_tol=1e-9)
+
+
+polys = st.lists(
+    st.tuples(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.one_of(st.integers(0, 4).map(float), st.floats(min_value=0.0, max_value=4.0)),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: FracPoly.from_terms([FracTerm(c, e) for c, e in terms]))
+
+small_grids = st.builds(
+    lambda lo, ratio, ppd: FrequencyGrid(lo, lo * ratio, ppd),
+    st.floats(min_value=1e-3, max_value=1e2),
+    st.floats(min_value=1.5, max_value=1e4),
+    st.integers(min_value=1, max_value=10),
+)
+
+
+def first_eval_error(tf, omegas) -> EvaluationError | None:
+    """The error of the first omega, in the order given, that eval_tf refuses."""
+    for omega in omegas:
+        try:
+            eval_tf(tf, omega)
+        except EvaluationError as exc:
+            return exc
+    return None
+
+
+class TestColumnEvaluation:
+    """A sweep evaluates the grid term by term; each point must come out as
+    evaluating it alone does, to the bit, and so must each failure."""
+
+    @settings(deadline=None)
+    @given(polys, polys, small_grids)
+    def test_rows_equal_single_points_bit_for_bit(self, num, den, grid):
+        assume(not den.is_zero())
+        tf, omegas = FracTF(num, den), grid.points()
+        try:
+            got = rows(tf, grid)
+        except EvaluationError as exc:
+            first = first_eval_error(tf, omegas)
+            assert (str(first), first.omega) == (str(exc), exc.omega)
+            return
+        assert first_eval_error(tf, omegas) is None
+        # repr tells -0.0 from 0.0 and shows every bit of a double.
+        for row, (h, mag), omega in zip(got, _h_on(tf, omegas), omegas, strict=True):
+            assert repr(row) == repr(dataclasses.astuple(response_at(tf, omega)))
+            point = eval_tf(tf, omega)
+            assert repr(complex(point.re, point.im)) == repr(h)
+            assert row[1] == mag
+
+    @pytest.mark.parametrize(
+        "text, grid, message, omega",
+        [
+            # D's omega**400 overflows at the 19th of 31 points, mid-column.
+            ("1/(s^400+1)", (0.1, 100.0, 10), "a value overflows", 6.309573444801933),
+            # Only N overflows.
+            ("s^400/(s+1)", (0.1, 100.0, 10), "a value overflows", 6.309573444801933),
+            # D is exactly 0 at omega = 1, before N overflows at 10.
+            ("s^400/(s^1.5+s^3.5)", (0.1, 100.0, 1), "denominator vanishes", 1.0),
+            # omega**1000 underflows to 0 at the first point.
+            ("1/s^1000", (0.4, 10.0, 1), "denominator vanishes", 0.4),
+        ],
+    )
+    def test_sweep_fails_where_first_eval_tf_fails(self, text, grid, message, omega):
+        tf, grid = parse_tf(text), FrequencyGrid(*grid)
+        first = first_eval_error(tf, grid.points())
+        with pytest.raises(EvaluationError) as swept:
+            sweep(tf, grid)
+        with pytest.raises(EvaluationError) as rowed:
+            rows(tf, grid)
+        for exc in (first, swept.value, rowed.value):
+            assert (str(exc), exc.omega) == (f"{message} at omega={omega!r}", omega)
+
+    def test_overflow_makes_only_its_own_omega_infinite(self):
+        den = parse_tf("1/(s^400+1)").denominator
+        omegas = FrequencyGrid(0.1, 100.0, 10).points()
+        column = _poly_on(den, omegas)
+        assert [z == complex(math.inf) for z in column] == [False] * 18 + [True] * 13
+        for omega, z in zip(omegas[:18], column):
+            assert repr(eval_poly(den, omega)) == repr(Complex(z.real, z.imag))
 
 
 IDENTITY_POINT = ResponsePoint(1.0, 1.0, 0.0, 0.0, 0.0)
