@@ -20,15 +20,9 @@ MAX_GRID_POINTS = 1_000_000
 # One CSV row; "%.16e" gives the same bytes as format_value.
 _CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e\n"
 
-# One JSON array element in json.dumps(indent=2)'s layout.  %s, not %r:
-# json.dumps writes float.__repr__, which str() of a float subclass such
-# as numpy.float64 keeps and its repr() does not.
-_JSON_OBJECT = (
-    "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_HEADER.split(",")) + "\n  }"
-)
-
-# json.dumps's spellings of the infinities; NaN never equals a key.
-_JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+# One JSON array element in json.dumps(indent=2)'s layout.  %s writes a
+# double as json.dumps does, but -inf as "-inf"; no key contains that.
+_JSON_OBJECT = "  {\n%s\n  }" % ",\n".join(f'    "{n}": %s' for n in CSV_HEADER.split(","))
 
 
 class FrequencyGrid(Value):
@@ -92,6 +86,7 @@ def rows(tf: FracTF, grid: FrequencyGrid) -> list[tuple[float, float, float, flo
 
 
 def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
+    """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
     from .point import ResponsePoint
 
     return ResponsePoint(*_rows_on(tf, [real(omega, *OMEGA)])[0])
@@ -109,24 +104,15 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
     return [ResponsePoint(*row) for row in rows(tf, grid)]
 
 
-def _json_values(fields: tuple) -> tuple:
-    """fields as json.dumps writes them: NaN, Infinity, -Infinity or the number."""
-    try:
-        if math.isfinite(sum(fields)):
-            return fields
-    except OverflowError:  # an int beyond the double range
-        pass
-    return tuple("NaN" if v != v else _JSON_INFINITIES.get(v, v) for v in fields)
-
-
 def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:
     """Serialize sweep points; format is "csv" or "json".
 
     CSV carries the header line and one row per point, every value with
     17 significant digits, each line feed terminated.  JSON is an array
     of objects keyed like the CSV columns, numbers unquoted, each the
-    shortest repr that reads back to the same double; the dB of a zero
-    response is -Infinity.  The JSON bytes are those of
+    shortest repr that reads back to the same double.  A ResponsePoint
+    holds only doubles, finite but for the -inf dB of a zero response,
+    which JSON writes as -Infinity.  The JSON bytes are those of
     json.dumps(..., indent=2) plus a line feed.
     """
     return emit_rows(
@@ -139,10 +125,8 @@ def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
     if format == "csv":
         return (CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, values))).encode("ascii")
     if format == "json":
-        if not values:
-            return b"[]\n"
-        objects = [_JSON_OBJECT % _json_values(row) for row in values]
-        return ("[\n" + ",\n".join(objects) + "\n]\n").encode("ascii")
+        objects = ",\n".join(map(_JSON_OBJECT.__mod__, values)).replace("-inf", "-Infinity")
+        return (f"[\n{objects}\n]\n" if values else "[]\n").encode("ascii")
     raise ValueError(f"unknown output format {format!r}, expected one of {FORMATS}")
 
 

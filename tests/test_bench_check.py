@@ -5,6 +5,7 @@ here in about a second.  bench/check.py and bench/workloads.py are
 loaded read-only by path: no bytecode is written under bench/.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import sys
@@ -47,3 +48,14 @@ CASES.update({f"many-{i}": c for i, c in enumerate(valid_cases("many", 20))})
 def test_library_output_passes_bench_check(case):
     points = sweep(parse_tf(case.text), FrequencyGrid(case.wmin, case.wmax, case.ppd))
     assert check.check_output(case, points, emit(points, case.fmt)) == []
+
+
+@pytest.mark.parametrize("case", [CASES["dense-0"], CASES["many-0"]], ids=["dense-0", "many-0"])
+def test_corrupted_point_is_flagged(case):
+    # The benchmark self-test's corrupted point: dataclasses.replace goes
+    # through ResponsePoint.__init__, and the checker must see the change.
+    points = sweep(parse_tf(case.text), FrequencyGrid(case.wmin, case.wmax, case.ppd))
+    p = points[3]
+    for change in ({"mag_linear": p.mag_linear * (1 + 1e-9)}, {"phase_rad": p.phase_rad + 1e-9}):
+        bad = points[:3] + [dataclasses.replace(p, **change)] + points[4:]
+        assert check.check_output(case, bad, emit(bad, case.fmt)), change

@@ -1,6 +1,7 @@
 """The value-type contract of the package's immutable records."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import subprocess
@@ -18,6 +19,7 @@ from fracfreq import (
     FracTF,
     FrequencyGrid,
     PolarForm,
+    ResponsePoint,
     branch_count,
     eval_poly,
     eval_tf,
@@ -60,6 +62,11 @@ EXAMPLES = [
         "b",
     ),
     (lambda: PolarForm(1.0, 0.5), "PolarForm(r=1.0, phi=0.5)", "phi"),
+    (
+        lambda: ResponsePoint(2, 0.5, -6.0, 0.25, 14.0),
+        "ResponsePoint(omega=2.0, mag_linear=0.5, mag_db=-6.0, phase_rad=0.25, phase_deg=14.0)",
+        "mag_db",
+    ),
 ]
 IDS = [text.split("(")[0] for _, text, _ in EXAMPLES]
 
@@ -120,6 +127,7 @@ def test_keyword_and_default_construction():
         lambda: CaseIParams(1.0, 0.5, 0.5),
         lambda: CaseIIParams(1.0, 2.0, 3.0),
         lambda: PolarForm(1.0),
+        lambda: ResponsePoint(1.0, 1.0, 0.0, 0.0),
     ],
     ids=IDS,
 )
@@ -231,6 +239,30 @@ REAL_PARAMETERS = [
         0.0,
     ),
     ("response_at-omega", "omega must be finite and > 0", lambda x: response_at(TF, x), -1.0),
+    (
+        "ResponsePoint-omega",
+        "omega must be finite",
+        lambda x: ResponsePoint(x, 1.0, 0.0, 0.0, 0.0),
+        "one",
+    ),
+    (
+        "ResponsePoint-mag_linear",
+        "mag_linear must be finite",
+        lambda x: ResponsePoint(1.0, x, 0.0, 0.0, 0.0),
+        "one",
+    ),
+    (
+        "ResponsePoint-phase_rad",
+        "phase_rad must be finite",
+        lambda x: ResponsePoint(1.0, 1.0, 0.0, x, 0.0),
+        "one",
+    ),
+    (
+        "ResponsePoint-phase_deg",
+        "phase_deg must be finite",
+        lambda x: ResponsePoint(1.0, 1.0, 0.0, 0.0, x),
+        "one",
+    ),
 ]
 NOT_IN_ANY_RANGE = [
     (True, "bool"),
@@ -260,6 +292,18 @@ def test_bad_real_raises_its_rule(call, rule, x):
     message = str(excinfo.value)
     assert message.startswith(rule + ", got "), message
     assert len(message) < 200
+
+
+def test_response_point_mag_db_may_be_minus_inf_only():
+    # The dB of an exact-zero response is the one non-finite field value.
+    zero = ResponsePoint(1.0, 0.0, -math.inf, 0.0, 0.0)
+    assert zero.mag_db == -math.inf
+    for x in (math.inf, math.nan, True, 10**5000):
+        with pytest.raises(ValueError) as excinfo:
+            ResponsePoint(1.0, 1.0, x, 0.0, 0.0)
+        assert str(excinfo.value).startswith("mag_db must be finite or -inf, got ")
+    with pytest.raises(ValueError, match="mag_linear must be finite"):
+        dataclasses.replace(zero, mag_linear=math.nan)
 
 
 @pytest.mark.parametrize(
