@@ -1,7 +1,7 @@
 """fracfreq command line: sweep a transfer function, emit Bode data.
 
-Exit codes: 0 success, 2 expression parse error or usage error (an
---out that cannot be written included), 3 evaluation error.
+Exit codes: 0 success, 2 expression parse error or usage error (an --out
+or a standard output that cannot be written included), 3 evaluation error.
 """
 
 import argparse
@@ -58,8 +58,15 @@ def main(argv: list[str] | None = None) -> int:
 
     data = emit_rows(values, args.format)
     if args.out is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        try:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        except OSError as exc:
+            import contextlib
+            with contextlib.suppress(OSError):  # a closed stdout is not flushed again at exit
+                sys.stdout.close()
+            print(f"fracfreq: error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
     else:
         try:
             with open(args.out, "wb") as out:

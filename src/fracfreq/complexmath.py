@@ -67,12 +67,7 @@ def argument(s: Complex) -> float:
     """
     if s.is_zero():
         raise ValueError("argument of zero is undefined")
-    return principal_angle(s.re, s.im)
-
-
-def principal_angle(re: float, im: float) -> float:
-    """atan2(im, re) with -pi folded to +pi, so the angle lies in (-pi, pi]."""
-    phi = math.atan2(im, re)
+    phi = math.atan2(s.im, s.re)
     return math.pi if phi == -math.pi else phi
 
 

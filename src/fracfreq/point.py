@@ -1,9 +1,10 @@
 """ResponsePoint, the library's record of one frequency sample.
 
-A dataclass, so dataclasses.fields and dataclasses.replace apply to it;
-its __init__ checks each field with _value.real, as every record does.
-It lives apart from response.py so that the command line, which emits
-rows without building records, does not import dataclasses.
+A dataclass; ResponsePoint(...) and dataclasses.replace check each field
+with _value.real, while sweep and response_at build theirs unchecked
+(_of_rows) from response._rows_on's doubles: a grid or checked omega, a
+finite |h|, its dB or -inf, atan2 of finite parts.  Kept out of response.py
+so that the command line, which builds no records, imports no dataclasses.
 """
 
 import math
@@ -29,7 +30,6 @@ class ResponsePoint:
     phase_deg: float
 
     def __init__(self, omega, mag_linear, mag_db, phase_rad, phase_deg) -> None:
-        # One dict update: ~150 ns less than five object.__setattr__ calls.
         self.__dict__.update(
             omega=real(omega, "omega must be finite"),
             mag_linear=real(mag_linear, "mag_linear must be finite"),
@@ -37,3 +37,11 @@ class ResponsePoint:
             phase_rad=real(phase_rad, "phase_rad must be finite"),
             phase_deg=real(phase_deg, "phase_deg must be finite"),
         )
+
+    @classmethod
+    def _of_rows(cls, rows) -> "list[ResponsePoint]":
+        """One record per row of doubles, with __init__'s instance dict but unchecked."""
+        points = [object.__new__(cls) for _ in rows]
+        for p, (w, mag, db, rad, deg) in zip(points, rows):
+            p.__dict__.update(omega=w, mag_linear=mag, mag_db=db, phase_rad=rad, phase_deg=deg)
+        return points

@@ -73,7 +73,7 @@ def _rows_on(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float,
         if mag == 0.0:
             out.append((omega, mag, -math.inf, 0.0, 0.0))
             continue
-        # complexmath.principal_angle, inline: no Python call per point.
+        # complexmath.argument's fold of -pi to pi, inline: no Python call per point.
         phase = math.atan2(h.imag, h.real)
         phase = math.pi if phase == -math.pi else phase
         out.append((omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase)))
@@ -89,7 +89,7 @@ def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
     """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
     from .point import ResponsePoint
 
-    return ResponsePoint(*_rows_on(tf, [real(omega, *OMEGA)])[0])
+    return ResponsePoint._of_rows(_rows_on(tf, [real(omega, *OMEGA)]))[0]
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
@@ -101,7 +101,7 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
     """
     from .point import ResponsePoint
 
-    return [ResponsePoint(*row) for row in rows(tf, grid)]
+    return ResponsePoint._of_rows(rows(tf, grid))
 
 
 def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:

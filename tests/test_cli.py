@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -20,6 +22,8 @@ from fracfreq import (
 )
 from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main
 from helpers import child_env, close
+
+NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 
 
 def run_main(argv, capsysbinary):
@@ -74,6 +78,25 @@ class TestMain:
         err = captured.err.decode()
         assert str(target) in err
         assert ("No such file" if where == "missing_dir" else "Is a directory") in err
+
+    # The default grid's CSV outgrows the write buffer, so write raises;
+    # one point per decade fits in it, so only the flush raises.
+    @pytest.mark.parametrize("argv", [["--tf", "s"], ["--tf", "s", "--ppd", "1"]])
+    def test_failed_stdout_write_exits_2(self, argv, monkeypatch, capsysbinary):
+        class FullDevice(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.TextIOWrapper(io.BufferedWriter(FullDevice()))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == EXIT_PARSE_ERROR
+        err = capsysbinary.readouterr().err.decode()
+        assert err == f"fracfreq: error: cannot write output: {NO_SPACE}\n"
+        # Closed, so the interpreter does not flush the unwritten bytes again at exit.
+        assert stdout.closed
 
     def test_parse_error_exit_and_offset(self, capsysbinary):
         code, out, err = run_main(["--tf", "s^"], capsysbinary)
@@ -264,6 +287,21 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("ppd", ["20", "1"])
+    def test_stdout_on_full_device_exits_2(self, ppd):
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "fracfreq", "--tf", "s", "--ppd", ppd],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=60,
+                env=child_env(),
+            )
+        assert result.returncode == 2
+        # One line: no traceback, and no "Exception ignored" from the flush at exit.
+        assert result.stderr.decode() == f"fracfreq: error: cannot write output: {NO_SPACE}\n"
 
     def test_module_invocation_parse_error(self):
         result = subprocess.run(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import sys
 
 import pytest
@@ -284,6 +285,71 @@ class TestColumnEvaluation:
         assert [z == complex(math.inf) for z in column] == [False] * 18 + [True] * 13
         for omega, z in zip(omegas[:18], column):
             assert repr(eval_poly(den, omega)) == repr(Complex(z.real, z.imag))
+
+
+def hexes(point: ResponsePoint) -> list[str]:
+    """Each field's float.hex, so -0.0 differs from 0.0 and every bit counts."""
+    return [float.hex(v) for v in vars(point).values()]
+
+
+def tf_grid(text: str, *grid) -> tuple[FracPoly, FracPoly, FrequencyGrid]:
+    tf = parse_tf(text)
+    return tf.numerator, tf.denominator, FrequencyGrid(*grid)
+
+
+class TestRecordBuilder:
+    """sweep and response_at build their records without ResponsePoint's
+    check; each must be the record the checked constructor makes of its row."""
+
+    @settings(deadline=None)
+    @given(polys, polys, small_grids)
+    # Phase -0.0 at omega = 10.
+    @example(*tf_grid("(s^2+1)/(s^2+2)", 0.1, 10.0, 1))
+    # Zero responses: at omega = 1 only, and everywhere.
+    @example(*tf_grid("s^4-1", 0.1, 10.0, 1))
+    @example(*tf_grid("s^2-s^2", 0.1, 10.0, 1))
+    def test_sweep_records_equal_checked_records(self, num, den, grid):
+        assume(not den.is_zero())
+        tf = FracTF(num, den)
+        try:
+            expected = rows(tf, grid)
+        except EvaluationError:
+            assume(False)
+        got = sweep(tf, grid)
+        assert len(got) == len(expected)
+        for record, row in zip(got, expected):
+            checked = ResponsePoint(*row)
+            assert type(record) is ResponsePoint
+            assert hexes(record) == hexes(checked) == [float.hex(v) for v in row]
+            assert list(vars(record)) == list(vars(checked)) == CSV_HEADER.split(",")
+            assert record == checked
+            assert hash(record) == hash(checked)
+            assert repr(record) == repr(checked)
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record
+            assert (hexes(copy), list(vars(copy))) == (hexes(record), list(vars(record)))
+            with pytest.raises(ValueError, match="^mag_linear must be finite, got nan$"):
+                dataclasses.replace(record, mag_linear=math.nan)
+        assert hexes(response_at(tf, grid.omega_max)) == hexes(got[-1])
+
+    def test_sweep_of_1501_points_calls_no_init(self, monkeypatch):
+        calls = []
+        checked_init = ResponsePoint.__init__
+
+        def counted_init(self, *args):
+            calls.append(args)
+            checked_init(self, *args)
+
+        monkeypatch.setattr(ResponsePoint, "__init__", counted_init)
+        tf = parse_tf("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)")
+        points = sweep(tf, FrequencyGrid(1e-2, 1e3, 300))
+        assert len(points) == 1501
+        response_at(tf, 1.0)
+        assert calls == []
+        # The counter sees the checked path, which still rejects a bool.
+        with pytest.raises(ValueError, match="^mag_linear must be finite, got bool$"):
+            ResponsePoint(1.0, True, 0.0, 0.0, 0.0)
+        assert calls == [(1.0, True, 0.0, 0.0, 0.0)]
 
 
 IDENTITY_POINT = ResponsePoint(1.0, 1.0, 0.0, 0.0, 0.0)
