@@ -47,7 +47,7 @@ def count(x, rule: str, low: int, high: float) -> int:
 
 
 class Value:
-    """Immutable record over ``__slots__``; its fields are named in ``_fields``.
+    """Immutable record whose fields are its ``__slots__``, in order.
 
     ``==`` holds only between instances of the same class with equal
     fields, and hash and repr are taken over the fields in order.
@@ -58,10 +58,9 @@ class Value:
     """
 
     __slots__ = ()
-    _fields = ()
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -72,7 +71,7 @@ class Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

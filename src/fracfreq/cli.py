@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
     try:
-        values = rows(tf, grid)
+        values = rows(tf, grid.points())
     except EvaluationError as exc:
         print(f"fracfreq: error: {exc}", file=sys.stderr)
         return EXIT_EVAL_ERROR

@@ -26,7 +26,7 @@ _ALPHA = ("alpha must lie strictly in (0, 1)", TINY, math.nextafter(1.0, 0.0))
 class CaseIParams(Value):
     """Single fractional power of j*omega: omega > 0, 0 < alpha < 1."""
 
-    __slots__ = _fields = ("omega", "alpha")
+    __slots__ = ("omega", "alpha")
 
     def __init__(self, omega: float, alpha: float) -> None:
         omega = real(omega, *OMEGA)
@@ -38,7 +38,7 @@ class CaseIParams(Value):
 class CaseIIParams(Value):
     """Affine fractional power a*(j*omega)**alpha + b with a, b > 0."""
 
-    __slots__ = _fields = ("a", "b", "omega", "alpha")
+    __slots__ = ("a", "b", "omega", "alpha")
 
     def __init__(self, a: float, b: float, omega: float, alpha: float) -> None:
         a = real(a, "gain a must be finite and > 0", TINY)

@@ -17,7 +17,7 @@ from ._value import Value, real
 class Complex(Value):
     """A complex value as an explicit (re, im) pair; both parts finite."""
 
-    __slots__ = _fields = ("re", "im")
+    __slots__ = ("re", "im")
 
     def __init__(self, re: float, im: float = 0.0) -> None:
         re = real(re, "real part must be finite")

@@ -2,7 +2,7 @@
 
 A dataclass; ResponsePoint(...) and dataclasses.replace check each field
 with _value.real, while sweep and response_at build theirs unchecked
-(_of_rows) from response._rows_on's doubles: a grid or checked omega, a
+(_of_rows) from response.rows's doubles: a grid or checked omega, a
 finite |h|, its dB or -inf, atan2 of finite parts.  Kept out of response.py
 so that the command line, which builds no records, imports no dataclasses.
 """

@@ -28,7 +28,7 @@ _JSON_OBJECT = "  {\n%s\n  }" % ",\n".join(f'    "{n}": %s' for n in CSV_HEADER.
 class FrequencyGrid(Value):
     """Log-spaced angular-frequency samples over [omega_min, omega_max]."""
 
-    __slots__ = _fields = ("omega_min", "omega_max", "points_per_decade")
+    __slots__ = ("omega_min", "omega_max", "points_per_decade")
 
     def __init__(
         self, omega_min: float = 0.01, omega_max: float = 100.0, points_per_decade: int = 20
@@ -66,8 +66,9 @@ class FrequencyGrid(Value):
         return out
 
 
-def _rows_on(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, float, float]]:
-    """The fields of response_at(tf, omega) as a plain tuple, for each omega."""
+def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, float, float]]:
+    """The fields of response_at(tf, omega) as a plain tuple, for each omega
+    (each already a positive finite float); EvaluationError as sweep."""
     out = []
     for omega, (h, mag) in zip(omegas, _h_on(tf, omegas)):
         if mag == 0.0:
@@ -80,16 +81,11 @@ def _rows_on(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float,
     return out
 
 
-def rows(tf: FracTF, grid: FrequencyGrid) -> list[tuple[float, float, float, float, float]]:
-    """The fields of each sweep point as a plain tuple; EvaluationError as sweep."""
-    return _rows_on(tf, grid.points())
-
-
 def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
     """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
     from .point import ResponsePoint
 
-    return ResponsePoint._of_rows(_rows_on(tf, [real(omega, *OMEGA)]))[0]
+    return ResponsePoint._of_rows(rows(tf, [real(omega, *OMEGA)]))[0]
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
@@ -101,7 +97,7 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
     """
     from .point import ResponsePoint
 
-    return ResponsePoint._of_rows(rows(tf, grid))
+    return ResponsePoint._of_rows(rows(tf, grid.points()))
 
 
 def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:

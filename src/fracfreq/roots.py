@@ -14,15 +14,11 @@ import sys
 from ._value import TINY, Value, count, real
 from .complexmath import Complex, argument, magnitude
 
-# Forgives the binary rounding of alpha = 1/n when counting branches,
-# so e.g. alpha = 1/49 still yields exactly 49 of them.
-_BRANCH_COUNT_FUZZ = 1e-9
-
 
 class PolarForm(Value):
     """Modulus/angle pair with the angle already in (-pi, pi]."""
 
-    __slots__ = _fields = ("r", "phi")
+    __slots__ = ("r", "phi")
 
     def __init__(self, r: float, phi: float) -> None:
         r = real(r, "modulus must be finite and >= 0", 0.0)
@@ -39,10 +35,14 @@ def to_polar(s: Complex) -> PolarForm:
 def branch_count(alpha: float) -> int:
     """Number of distinct branches of s**alpha for alpha in (0, 1].
 
-    ceil(1/alpha), so alpha = 1/n recovers exactly n branches.
+    n when alpha is the double nearest 1/n for the integer n nearest
+    1/alpha, so alpha = 1/n recovers exactly n branches; ceil(1/alpha)
+    otherwise.  Both are exact in integers: 1/alpha = q/p.
     """
     alpha = real(alpha, "exponent must lie in (0, 1]", TINY, 1.0)
-    return math.ceil(1.0 / alpha - _BRANCH_COUNT_FUZZ)
+    p, q = alpha.as_integer_ratio()
+    n = (2 * q + p) // (2 * p)
+    return n if 1 / n == alpha else -(-q // p)
 
 
 def nth_roots(s: Complex, n: int) -> list[Complex]:
@@ -72,7 +72,9 @@ def pow_branch(s: Complex, alpha: float, k: int) -> Complex:
     nth_roots(s, n)[k].
     """
     last = branch_count(alpha) - 1
-    k = count(k, f"branch index must be an integer in [0, {last}]", 0, last)
+    # A bound beyond 64 bits is named, not written out in decimal.
+    bound = last if last.bit_length() < 64 else "branch_count(alpha) - 1"
+    k = count(k, f"branch index must be an integer in [0, {bound}]", 0, last)
     if s.is_zero():
         raise ValueError("fractional power of zero is undefined")
     p = to_polar(s)

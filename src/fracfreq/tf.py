@@ -45,7 +45,7 @@ class EvaluationError(ValueError):
 class FracTerm(Value):
     """One term c * s**e: real coefficient, nonnegative real exponent."""
 
-    __slots__ = _fields = ("coeff", "exponent")
+    __slots__ = ("coeff", "exponent")
 
     def __init__(self, coeff: float, exponent: float) -> None:
         coeff = real(coeff, "coefficient must be finite")
@@ -60,8 +60,7 @@ _ZERO_TERM = FracTerm(0.0, 0.0)
 class FracPoly(Value):
     """Normalized sum of terms, exponents strictly decreasing, never empty."""
 
-    __slots__ = ("terms", "jomega_terms")
-    _fields = ("terms",)
+    __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[FracTerm, ...]) -> None:
         terms = tuple(terms)
@@ -76,10 +75,6 @@ class FracPoly(Value):
         if any(t.coeff == 0.0 for t in terms) and terms != (_ZERO_TERM,):
             raise ValueError("zero-coefficient terms must be dropped at normalization")
         object.__setattr__(self, "terms", terms)
-        # (e, c, j**e) per term: c*s**e at s = j*omega is c * (omega**e * j**e).
-        object.__setattr__(
-            self, "jomega_terms", tuple((t.exponent, t.coeff, j_pow(t.exponent)) for t in terms)
-        )
 
     @classmethod
     def from_terms(cls, terms) -> "FracPoly":
@@ -113,7 +108,7 @@ _ONE = FracPoly.constant(1.0)
 class FracTF(Value):
     """Numerator/denominator pair; the denominator is never the zero polynomial."""
 
-    __slots__ = _fields = ("numerator", "denominator")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: FracPoly, denominator: FracPoly) -> None:
         if denominator.is_zero():
@@ -267,12 +262,14 @@ def pretty_print(tf: FracTF) -> str:
 def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
     gains c * (omega**e * j**e) for one term at a time, c last, so a
-    subnormal c costs one rounding of the whole term.  An omega**e that
+    subnormal c costs one rounding of the whole term.  j**e is computed
+    once per term for the column, not stored on p.  An omega**e that
     overflows makes that omega's sum infinite; the column is then redone
     one omega at a time, so no other omega's value changes."""
     acc = [0j] * len(omegas)
     try:
-        for e, c, jj in p.jomega_terms:
+        for t in p.terms:
+            e, c, jj = t.exponent, t.coeff, j_pow(t.exponent)
             acc = [a + c * (w**e * jj) for a, w in zip(acc, omegas)]
     except OverflowError:
         if len(omegas) == 1:

@@ -25,6 +25,7 @@ from fracfreq import (
     response_at,
     sweep,
 )
+from fracfreq.complexmath import j_pow
 from fracfreq.response import MAX_GRID_POINTS, rows
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
@@ -222,6 +223,45 @@ small_grids = st.builds(
 )
 
 
+# Integer exponents (exact quarter turns) up to 600, exponents one ulp or
+# 1e-9 off an integer, and any exponent in range.
+kernel_exponents = st.one_of(
+    st.integers(0, 600).map(float),
+    st.integers(0, 600).flatmap(
+        lambda k: st.sampled_from([math.nextafter(k, 0.0), math.nextafter(k, math.inf), max(0.0, k - 1e-9), k + 1e-9])
+    ),
+    st.floats(min_value=0.0, max_value=600.0),
+)
+kernel_polys = st.lists(
+    st.tuples(st.floats(min_value=-1e300, max_value=1e300).filter(bool), kernel_exponents),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: FracPoly.from_terms([FracTerm(c, e) for c, e in terms]))
+
+
+@st.composite
+def kernel_columns(draw):
+    """A polynomial and a column of omegas; when the largest exponent
+    e_max > 1.01, one omega, at a drawn place, has omega**e_max overflow."""
+    p = draw(kernel_polys)
+    omegas = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8))
+    e_max = p.terms[0].exponent
+    if e_max > 1.01:
+        omegas.insert(draw(st.integers(0, len(omegas))), min(2.0 ** (1030.0 / e_max), 1e300))
+    return p, omegas
+
+
+def in_order_sum(p: FracPoly, omega: float) -> complex:
+    """p at s = j*omega as the sum, in term order, of c * (omega**e * j**e)."""
+    acc = 0j
+    try:
+        for t in p.terms:
+            acc = acc + t.coeff * (omega**t.exponent * j_pow(t.exponent))
+    except OverflowError:
+        return complex(math.inf)
+    return acc
+
+
 def first_eval_error(tf, omegas) -> EvaluationError | None:
     """The error of the first omega, in the order given, that eval_tf refuses."""
     for omega in omegas:
@@ -242,7 +282,7 @@ class TestColumnEvaluation:
         assume(not den.is_zero())
         tf, omegas = FracTF(num, den), grid.points()
         try:
-            got = rows(tf, grid)
+            got = rows(tf, omegas)
         except EvaluationError as exc:
             first = first_eval_error(tf, omegas)
             assert (str(first), first.omega) == (str(exc), exc.omega)
@@ -274,9 +314,20 @@ class TestColumnEvaluation:
         with pytest.raises(EvaluationError) as swept:
             sweep(tf, grid)
         with pytest.raises(EvaluationError) as rowed:
-            rows(tf, grid)
+            rows(tf, grid.points())
         for exc in (first, swept.value, rowed.value):
             assert (str(exc), exc.omega) == (f"{message} at omega={omega!r}", omega)
+
+    @settings(deadline=None)
+    @given(kernel_columns())
+    @example((parse_tf("s^400+3*s^2.5").numerator, [0.1, 6.309573444801933, 2.0]))
+    def test_column_is_the_in_order_sum_bit_for_bit(self, column):
+        p, omegas = column
+        got = _poly_on(p, omegas)
+        assert len(got) == len(omegas)
+        for z, omega in zip(got, omegas):
+            want = in_order_sum(p, omega)
+            assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex()), omega
 
     def test_overflow_makes_only_its_own_omega_infinite(self):
         den = parse_tf("1/(s^400+1)").denominator
@@ -312,7 +363,7 @@ class TestRecordBuilder:
         assume(not den.is_zero())
         tf = FracTF(num, den)
         try:
-            expected = rows(tf, grid)
+            expected = rows(tf, grid.points())
         except EvaluationError:
             assume(False)
         got = sweep(tf, grid)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,44 @@ class TestBranchCount:
     def test_general_exponent_rounds_up(self):
         assert branch_count(0.3) == 4
         assert branch_count(0.9) == 2
+
+    @given(
+        st.one_of(
+            st.floats(min_value=math.ulp(0.0), max_value=1.0),
+            st.integers(min_value=1, max_value=10**6).map(lambda n: 1.0 / n),
+            st.integers(min_value=1, max_value=10**6).map(lambda n: math.nextafter(1.0 / n, 0.0)),
+            st.integers(min_value=1, max_value=10**6).map(lambda n: math.nextafter(1.0 / n, 1.0)),
+        )
+    )
+    def test_count_is_exact(self, alpha):
+        # n when alpha is the double nearest 1/n for n the integer nearest
+        # 1/alpha, ceil(1/alpha) otherwise, both in exact rationals.
+        inverse = 1 / Fraction(alpha)
+        n = round(inverse)
+        expected = n if float(Fraction(1, n)) == alpha else math.ceil(inverse)
+        assert branch_count(alpha) == expected
+
+    @pytest.mark.parametrize(
+        "alpha,expected",
+        [
+            # 1/alpha is beyond the double range; both are the double nearest 1/n.
+            (5e-324, 2**1074),
+            (1e-309, round(1 / Fraction(1e-309))),
+            # Just below 1/2: three branches, the third one near the first.
+            (0.4999999999, 3),
+            (math.nextafter(0.5, 0.0), 3),
+        ],
+        ids=["5e-324", "1e-309", "0.4999999999", "below-0.5"],
+    )
+    def test_tiny_and_just_below_reciprocal_exponents(self, alpha, expected):
+        assert branch_count(alpha) == expected
+
+    def test_branches_of_tiny_and_just_below_reciprocal_exponents(self):
+        s = Complex(1, 1)
+        assert pow_branch(s, 1e-309, 0) == principal_pow(s, 1e-309)
+        # Branch 2 turns by 4*pi*alpha, 1.3e-9 short of a full turn.
+        third = pow_branch(s, 0.4999999999, 2)
+        assert complex_close(third, principal_pow(s, 0.4999999999), rel=0.0, abs_tol=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0001])
     def test_domain(self, alpha):

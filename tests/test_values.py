@@ -136,13 +136,6 @@ def test_wrong_argument_count_is_type_error(make):
         make()
 
 
-def test_jomega_terms_computed_once():
-    poly = FracPoly.from_terms([FracTerm(2.0, 0.5), FracTerm(1.0, 0.0)])
-    first = poly.jomega_terms
-    assert poly.jomega_terms is first
-    assert pickle.loads(pickle.dumps(poly)).jomega_terms == first
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -332,12 +325,16 @@ HUGE = 10**5000
         (lambda: nth_roots(Complex(1.0, 0.0), HUGE), "root order must be a positive integer"),
         (lambda: pow_branch(Complex(1.0, 0.0), 0.5, -HUGE), "branch index must be an integer"),
         (lambda: pow_branch(Complex(1.0, 0.0), 0.5, HUGE), "branch index must be an integer"),
+        # The bound itself is huge: branch_count(1e-300) has 300 digits.
+        (lambda: pow_branch(Complex(1.0, 1.0), 1e-300, -1), "branch index must be an integer"),
+        (lambda: pow_branch(Complex(1.0, 1.0), 5e-324, -1), "branch index must be an integer"),
     ],
     ids=[
         f"{name}-{sign}"
         for name in ("FrequencyGrid-points_per_decade", "nth_roots-n", "pow_branch-k")
         for sign in ("negative", "positive")
-    ],
+    ]
+    + ["pow_branch-huge_bound-1e-300", "pow_branch-huge_bound-5e-324"],
 )
 def test_huge_count_raises_its_rule(make, rule):
     # An int of over 4,300 digits has no decimal string; the message must not need one.
