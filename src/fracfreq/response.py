@@ -55,14 +55,16 @@ class FrequencyGrid(Value):
         return lg0, lg1, max(1, round((lg1 - lg0) * self.points_per_decade))
 
     def points(self) -> list[float]:
-        """Ascending samples, endpoints exact; d decades at p points per
-        decade yield d*p + 1 samples (interval count rounds to nearest
-        when d*p is not integral)."""
+        """Log-spaced samples in [omega_min, omega_max], endpoints exact; d decades at p
+        points per decade yield d*p + 1 samples (interval count rounds to nearest when
+        d*p is not integral).  An interior one that rounds past an endpoint is clamped."""
+        lo, hi = self.omega_min, self.omega_max
         lg0, lg1, intervals = self._log_span()
-        out = [self.omega_min]
+        span, out = lg1 - lg0, [lo]
         for i in range(1, intervals):
-            out.append(10.0 ** (lg0 + (lg1 - lg0) * i / intervals))
-        out.append(self.omega_max)
+            w = 10.0 ** (lg0 + span * i / intervals)
+            out.append(w if lo <= w <= hi else lo if w < lo else hi)
+        out.append(hi)
         return out
 
 
@@ -81,11 +83,16 @@ def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, flo
     return out
 
 
+def _records(values: list[tuple]) -> "list[ResponsePoint]":
+    global _records  # rebound by the first call to ResponsePoint._of_rows
+    from .point import ResponsePoint  # and dataclasses, which the command line never loads
+    _records = ResponsePoint._of_rows
+    return _records(values)
+
+
 def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
     """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
-    from .point import ResponsePoint
-
-    return ResponsePoint._of_rows(rows(tf, [real(omega, *OMEGA)]))[0]
+    return _records(rows(tf, [real(omega, *OMEGA)]))[0]
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
@@ -95,9 +102,7 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
     tf.EvaluationError with the offending frequency; no point is
     silently skipped.
     """
-    from .point import ResponsePoint
-
-    return ResponsePoint._of_rows(rows(tf, grid.points()))
+    return _records(rows(tf, grid.points()))
 
 
 def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:

@@ -2,7 +2,7 @@
 
 A transfer function is a ratio N(s)/D(s) of polynomials whose terms are
 c * s**e with real coefficients and nonnegative real exponents.  The
-expression grammar (whitespace-insensitive, 0-based error offsets)::
+expression grammar (whitespace between lexemes ignored, 0-based error offsets)::
 
     tf      :=  poly [ "/" poly ]
     poly    :=  "(" poly ")"  |  [ "+" | "-" ] term { ("+"|"-") term }
@@ -82,18 +82,21 @@ class FracPoly(Value):
         merged: dict[float, float] = {}
         for t in terms:
             merged[t.exponent] = merged.get(t.exponent, 0.0) + t.coeff
-        kept = [FracTerm(c, e) for e, c in merged.items() if c != 0.0]
-        if not kept:
-            return cls((_ZERO_TERM,))
-        kept.sort(key=lambda t: t.exponent, reverse=True)
-        return cls(tuple(kept))
+        return cls._of_merged(merged)
+
+    @classmethod
+    def _of_merged(cls, merged: dict[float, float]) -> "FracPoly":
+        """from_terms's drop/sort tail on exponent -> sum; ValueError on a sum beyond a double."""
+        kept = [FracTerm(merged[e], e) for e in sorted(merged, reverse=True) if merged[e] != 0.0]
+        return cls(tuple(kept) or (_ZERO_TERM,))
 
     @classmethod
     def constant(cls, value: float) -> "FracPoly":
         return cls.from_terms([FracTerm(value, 0.0)])
 
     def is_zero(self) -> bool:
-        return self.terms == (_ZERO_TERM,)
+        """Exact in O(1): __init__ admits a zero coefficient only in (_ZERO_TERM,)."""
+        return self.terms[0].coeff == 0.0
 
     def is_one(self) -> bool:
         return self == _ONE
@@ -120,82 +123,70 @@ class FracTF(Value):
         return pretty_print(self)
 
 
-# --- lexer ---------------------------------------------------------------
+# --- lexer and parser ----------------------------------------------------
 
-# A token is (kind, offset, text): kind "number" or "char" for a lexeme,
-# "end" with text "" for the end of input.  finditer skips whitespace.
-_TOKEN_RE = re.compile(
-    r"""(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-      | (?P<char>[-+*/^()s])
-      | (?P<bad>\S)
-    """,
-    re.VERBOSE,
-)
+# split() on the one-group pattern puts the lexemes at odd indices, the text
+# between them (blank when valid) at even ones, and parse_tf appends "" as the
+# end of input.  parts[i]'s offset, len of parts[:i], is counted only on error.
+_TOKEN_RE = re.compile(r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[-+*/^()s])")
+# The lexemes that are not numbers, and "", the end of input.
+_NOT_NUMBER = frozenset(("", "(", ")", "*", "+", "-", "/", "^", "s"))
 
 
-def _tokenize(text: str) -> list[tuple[str, int, str]]:
-    tokens = [(m.lastgroup, m.start(), m[0]) for m in _TOKEN_RE.finditer(text)]
-    for kind, pos, lexeme in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}", pos)
-    return tokens + [("end", len(text), "")]
+def _error(message: str, parts: list[str], i: int) -> ParseError:
+    return ParseError(message, len("".join(parts[:i])))
 
 
-# --- parser --------------------------------------------------------------
+def _unexpected(what: str, parts: list[str], i: int) -> ParseError:
+    found = f"'{parts[i]}'" if parts[i] else "end of input"
+    return _error(f"expected {what}, found {found}", parts, i)
 
 
-def _unexpected(what: str, token: tuple[str, int, str]) -> ParseError:
-    found = f"'{token[2]}'" if token[2] else "end of input"
-    return ParseError(f"expected {what}, found {found}", token[1])
-
-
-def _poly(tokens: list[tuple[str, int, str]], i: int) -> tuple[FracPoly, int]:
-    """Read the polynomial at tokens[i]; return it and the index after it.
+def _poly(parts: list[str], i: int) -> tuple[FracPoly, int]:
+    """Read the polynomial at parts[i]; return it and the index after it.
 
     Parentheses only wrap a whole polynomial, so the leading "(" are
     counted and as many ")" consumed after the terms, without recursion.
     """
-    depth = 0
-    while tokens[i][2] == "(":
-        depth += 1
-        i += 1
-    start = tokens[i][1]
-    terms = []
+    opening = i
+    while parts[i] == "(":
+        i += 2
+    start = i
+    merged: dict[float, float] = {}
     # The first term's sign is optional, every later term needs one.
-    while not terms or tokens[i][2] in ("+", "-"):
-        coeff, exponent = (-1.0 if tokens[i][2] == "-" else 1.0), 0.0
-        if tokens[i][2] in ("+", "-"):
-            i += 1
-        term_start = tokens[i][1]
+    while i == start or parts[i] in ("+", "-"):
+        coeff, exponent = (-1.0 if parts[i] == "-" else 1.0), 0.0
+        if parts[i] in ("+", "-"):
+            i += 2
+        term_start = i
         while True:
-            kind, _, text = tokens[i]
-            if kind == "number":
+            text = parts[i]
+            if text not in _NOT_NUMBER:
                 coeff *= float(text)
             elif text != "s":
-                raise _unexpected("number or 's'", tokens[i])
-            elif tokens[i + 1][2] != "^":
+                raise _unexpected("number or 's'", parts, i)
+            elif parts[i + 2] != "^":
                 exponent += 1.0
-            elif tokens[i + 2][0] != "number":
-                raise _unexpected("number after '^'", tokens[i + 2])
+            elif parts[i + 4] in _NOT_NUMBER:
+                raise _unexpected("number after '^'", parts, i + 4)
             else:
-                i += 2
-                exponent += float(tokens[i][2])
-            i += 1
-            if tokens[i][2] != "*":
+                i += 4
+                exponent += float(parts[i])
+            i += 2
+            if parts[i] != "*":
                 break
-            i += 1
-        try:
-            terms.append(FracTerm(coeff, exponent))
-        except ValueError:  # coefficient or exponent overflowed
-            raise ParseError("coefficient or exponent is not a finite double", term_start) from None
+            i += 2
+        if not (math.isfinite(coeff) and math.isfinite(exponent)):
+            raise _error("coefficient or exponent is not a finite double", parts, term_start)
+        merged[exponent] = merged.get(exponent, 0.0) + coeff
     try:
-        poly = FracPoly.from_terms(terms)
+        poly = FracPoly._of_merged(merged)
     except ValueError:  # merged coefficients overflowed
-        raise ParseError("merged coefficient is not a finite double", start) from None
-    for _ in range(depth):
-        if tokens[i][2] != ")":
-            raise _unexpected("')'", tokens[i])
-        i += 1
+        raise _error("merged coefficient is not a finite double", parts, start) from None
+    for _ in range(opening, start, 2):
+        if parts[i] != ")":
+            raise _unexpected("')'", parts, i)
+        i += 2
     return poly, i
 
 
@@ -206,20 +197,24 @@ def parse_tf(text: str) -> FracTF:
     a coefficient or exponent that is not a finite double, and for a
     denominator polynomial that normalizes to zero.
     """
-    tokens = _tokenize(text)
-    if tokens[0][0] == "end":
+    parts = _TOKEN_RE.split(text)
+    if "".join(parts[::2]).strip():  # a character outside the grammar
+        k = next(k for k in range(0, len(parts), 2) if parts[k].strip())
+        position = len("".join(parts[:k])) + len(parts[k]) - len(parts[k].lstrip())
+        raise ParseError(f"unexpected character {text[position]!r}", position)
+    parts.append("")
+    if not parts[1]:
         raise ParseError("empty input", 0)
-    numerator, i = _poly(tokens, 0)
-    if tokens[i][0] == "end":
+    numerator, i = _poly(parts, 1)
+    if not parts[i]:
         return FracTF(numerator, _ONE)
-    if tokens[i][2] != "/":
-        raise _unexpected("'/' or end of input", tokens[i])
-    den_start = tokens[i + 1][1]
-    denominator, i = _poly(tokens, i + 1)
+    if parts[i] != "/":
+        raise _unexpected("'/' or end of input", parts, i)
+    denominator, end = _poly(parts, i + 2)
     if denominator.is_zero():
-        raise ParseError("denominator polynomial is zero", den_start)
-    if tokens[i][0] != "end":
-        raise _unexpected("end of input", tokens[i])
+        raise _error("denominator polynomial is zero", parts, i + 2)
+    if parts[end]:
+        raise _unexpected("end of input", parts, end)
     return FracTF(numerator, denominator)
 
 

@@ -114,7 +114,20 @@ MALFORMED = [
     ("s^1e308*s^1e308", 0, "coefficient or exponent is not a finite double"),
     ("s+2*1e400", 2, "coefficient or exponent is not a finite double"),
     ("1/(1e308*s+1e308*s)", 3, "merged coefficient is not a finite double"),
+    # Offsets are counted from the text between the lexemes only on error:
+    # one row per raise site, with whitespace before the offending place.
+    ("s +  2*1e400", 5, "coefficient or exponent is not a finite double"),
+    ("1 / ( s - s )", 4, "denominator polynomial is zero"),
+    ("s ^  +1", 5, "expected number after '^', found '+'"),
+    ("1 +  $", 5, "unexpected character '$'"),
+    ("  1e+ 2", 3, "unexpected character 'e'"),
+    ("(  s + 1  ", 10, "expected ')', found end of input"),
+    ("1 / (s+1) )", 10, "expected end of input, found ')'"),
+    ("1 / ( 1e308*s + 1e308*s )", 6, "merged coefficient is not a finite double"),
 ]
+
+# Text over the grammar's characters, some whitespace and a few outside it.
+_NEAR_GRAMMAR = st.text(alphabet="0123456789.eE+-*/^()s \t$q", max_size=24)
 
 
 class TestParseErrors:
@@ -127,6 +140,20 @@ class TestParseErrors:
             parse_tf(text)
         assert excinfo.value.position == offset
         assert str(excinfo.value) == f"{message} (offset {offset})"
+
+    @given(_NEAR_GRAMMAR, st.integers(min_value=0, max_value=6))
+    def test_leading_whitespace_shifts_only_the_offset(self, text, m):
+        try:
+            want = parse_tf(text)
+        except ParseError as exc:
+            message, position = str(exc).rsplit(" (offset ", 1)[0], exc.position
+            with pytest.raises(ParseError) as excinfo:
+                parse_tf(" " * m + text)
+            shifted = 0 if message == "empty input" else position + m
+            assert excinfo.value.position == shifted
+            assert str(excinfo.value) == f"{message} (offset {shifted})"
+        else:
+            assert parse_tf(" " * m + text) == want
 
     def test_deep_nesting_parses(self):
         assert parse_tf("(" * 5000 + "s+1" + ")" * 5000) == parse_tf("s+1")
