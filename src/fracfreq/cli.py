@@ -5,6 +5,7 @@ or a standard output that cannot be written included), 3 evaluation error.
 """
 
 import argparse
+import os
 import sys
 
 from .response import FORMATS, FrequencyGrid, emit_rows, rows
@@ -59,12 +60,15 @@ def main(argv: list[str] | None = None) -> int:
     data = emit_rows(values, args.format)
     if args.out is None:
         try:
+            if sys.stdout is None:  # the process started with standard output closed
+                import errno
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
         except OSError as exc:
             import contextlib
-            with contextlib.suppress(OSError):  # a closed stdout is not flushed again at exit
-                sys.stdout.close()
+            with contextlib.suppress(OSError, AttributeError):  # None has no close()
+                sys.stdout.close()  # so that it is not flushed again at exit
             print(f"fracfreq: error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
     else:

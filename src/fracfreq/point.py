@@ -1,16 +1,18 @@
-"""ResponsePoint, the library's record of one frequency sample.
+"""ResponsePoint, the library's record of one frequency sample, and sweep,
+response_at and emit, which turn response.py's rows into records and back.
 
-A dataclass; ResponsePoint(...) and dataclasses.replace check each field
-with _value.real, while sweep and response_at build theirs unchecked
-(_of_rows) from response.rows's doubles: a grid or checked omega, a
-finite |h|, its dB or -inf, atan2 of finite parts.  Kept out of response.py
-so that the command line, which builds no records, imports no dataclasses.
+ResponsePoint(...) and dataclasses.replace check each field with _value.real;
+sweep and response_at build records unchecked (_of_rows) from rows's doubles:
+a grid or checked omega, a finite |h|, its dB or -inf, atan2 of finite parts.
+The command line uses rows alone, so it imports no dataclasses.
 """
 
 import math
 from dataclasses import dataclass
 
-from ._value import real
+from ._value import OMEGA, real
+from .response import FrequencyGrid, emit_rows, rows
+from .tf import FracTF
 
 
 @dataclass(frozen=True, init=False)
@@ -45,3 +47,25 @@ class ResponsePoint:
         for p, (w, mag, db, rad, deg) in zip(points, rows):
             p.__dict__.update(omega=w, mag_linear=mag, mag_db=db, phase_rad=rad, phase_deg=deg)
         return points
+
+
+def response_at(tf: FracTF, omega: float) -> ResponsePoint:
+    """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
+    return ResponsePoint._of_rows(rows(tf, [real(omega, *OMEGA)]))[0]
+
+
+def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
+    """One ResponsePoint per grid frequency, ascending omega.
+
+    Any evaluation fault (vanishing denominator or overflow) raises
+    tf.EvaluationError with the offending frequency; no point is
+    silently skipped.
+    """
+    return ResponsePoint._of_rows(rows(tf, grid.points()))
+
+
+def emit(points: list[ResponsePoint], format: str = "csv") -> bytes:
+    """response.emit_rows of the points' fields: its docstring gives the bytes."""
+    return emit_rows(
+        [(p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg) for p in points], format
+    )

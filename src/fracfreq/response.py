@@ -1,4 +1,4 @@
-"""Logarithmic frequency sweeps and Bode-data emission (CSV / JSON).
+"""Logarithmic frequency grids, Bode-data rows and their bytes (CSV / JSON).
 
 The grid is exactly log-spaced with both endpoints pinned to the
 configured values.  Output is deterministic: identical inputs produce
@@ -7,7 +7,7 @@ byte-identical CSV and JSON.
 
 import math
 
-from ._value import OMEGA, TINY, Value, count, real
+from ._value import TINY, Value, count, real
 from .tf import FracTF, _h_on
 
 CSV_HEADER = "omega,mag_linear,mag_db,phase_rad,phase_deg"
@@ -55,9 +55,9 @@ class FrequencyGrid(Value):
         return lg0, lg1, max(1, round((lg1 - lg0) * self.points_per_decade))
 
     def points(self) -> list[float]:
-        """Log-spaced samples in [omega_min, omega_max], endpoints exact; d decades at p
-        points per decade yield d*p + 1 samples (interval count rounds to nearest when
-        d*p is not integral).  An interior one that rounds past an endpoint is clamped."""
+        """round(d*p) + 1 (at least 2) log-spaced samples over d decades at p per decade,
+        endpoints exact, non-decreasing: on a grid narrower than the rounding of log10
+        omega they may repeat, and an interior one that rounds past an endpoint is clamped."""
         lo, hi = self.omega_min, self.omega_max
         lg0, lg1, intervals = self._log_span()
         span, out = lg1 - lg0, [lo]
@@ -69,8 +69,8 @@ class FrequencyGrid(Value):
 
 
 def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, float, float]]:
-    """The fields of response_at(tf, omega) as a plain tuple, for each omega
-    (each already a positive finite float); EvaluationError as sweep."""
+    """(omega, |h|, its dB or -inf, principal phase in rad and deg) for each omega,
+    each already a positive finite float; tf.EvaluationError at the first bad omega."""
     out = []
     for omega, (h, mag) in zip(omegas, _h_on(tf, omegas)):
         if mag == 0.0:
@@ -83,46 +83,15 @@ def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, flo
     return out
 
 
-def _records(values: list[tuple]) -> "list[ResponsePoint]":
-    global _records  # rebound by the first call to ResponsePoint._of_rows
-    from .point import ResponsePoint  # and dataclasses, which the command line never loads
-    _records = ResponsePoint._of_rows
-    return _records(values)
-
-
-def response_at(tf: FracTF, omega: float) -> "ResponsePoint":
-    """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
-    return _records(rows(tf, [real(omega, *OMEGA)]))[0]
-
-
-def sweep(tf: FracTF, grid: FrequencyGrid) -> "list[ResponsePoint]":
-    """One ResponsePoint per grid frequency, ascending omega.
-
-    Any evaluation fault (vanishing denominator or overflow) raises
-    tf.EvaluationError with the offending frequency; no point is
-    silently skipped.
-    """
-    return _records(rows(tf, grid.points()))
-
-
-def emit(points: "list[ResponsePoint]", format: str = "csv") -> bytes:
-    """Serialize sweep points; format is "csv" or "json".
-
-    CSV carries the header line and one row per point, every value with
-    17 significant digits, each line feed terminated.  JSON is an array
-    of objects keyed like the CSV columns, numbers unquoted, each the
-    shortest repr that reads back to the same double.  A ResponsePoint
-    holds only doubles, finite but for the -inf dB of a zero response,
-    which JSON writes as -Infinity.  The JSON bytes are those of
-    json.dumps(..., indent=2) plus a line feed.
-    """
-    return emit_rows(
-        [(p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg) for p in points], format
-    )
-
-
 def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
-    """emit for rows of (omega, mag_linear, mag_db, phase_rad, phase_deg)."""
+    """Serialize rows like rows's doubles; format is "csv" or "json".
+
+    CSV is the header line and one line per row, every value with 17
+    significant digits, each line feed terminated.  JSON is an array of
+    objects keyed like the CSV columns, each number unquoted and the shortest
+    repr that reads back to the same double, the -inf dB of a zero response
+    as -Infinity: the bytes of json.dumps(..., indent=2) plus a line feed.
+    """
     if format == "csv":
         return (CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, values))).encode("ascii")
     if format == "json":

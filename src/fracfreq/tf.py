@@ -66,11 +66,13 @@ class FracPoly(Value):
         terms = tuple(terms)
         if not terms:
             raise ValueError("a polynomial needs at least one term")
-        for prev, cur in zip(terms, terms[1:]):
-            if not prev.exponent > cur.exponent:
+        for k, t in enumerate(terms):
+            if type(t) is not FracTerm:
+                raise ValueError(f"terms must be FracTerm, got {type(t).__name__}")
+            if k and not terms[k - 1].exponent > t.exponent:
                 raise ValueError(
                     "term exponents must be strictly decreasing, got "
-                    f"{prev.exponent!r} before {cur.exponent!r}"
+                    f"{terms[k - 1].exponent!r} before {t.exponent!r}"
                 )
         if any(t.coeff == 0.0 for t in terms) and terms != (_ZERO_TERM,):
             raise ValueError("zero-coefficient terms must be dropped at normalization")
@@ -114,6 +116,9 @@ class FracTF(Value):
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: FracPoly, denominator: FracPoly) -> None:
+        for name, poly in (("numerator", numerator), ("denominator", denominator)):
+            if type(poly) is not FracPoly:
+                raise ValueError(f"{name} must be a FracPoly, got {type(poly).__name__}")
         if denominator.is_zero():
             raise ValueError("denominator polynomial is zero")
         object.__setattr__(self, "numerator", numerator)
@@ -222,9 +227,7 @@ def parse_tf(text: str) -> FracTF:
 
 
 def _format_number(x: float) -> str:
-    if x.is_integer() and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+    return repr(x).removesuffix(".0")
 
 
 def _format_term(t: FracTerm) -> str:

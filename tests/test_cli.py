@@ -24,6 +24,7 @@ from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main
 from helpers import child_env, close
 
 NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+BAD_FD = f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
 
 
 def run_main(argv, capsysbinary):
@@ -288,6 +289,19 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
 
+    def test_response_import_loads_no_records(self):
+        # The rows-and-bytes layer never needs the records or their dataclass.
+        forbidden = {"dataclasses", "fracfreq.point"}
+        code = (
+            "import sys; before = set(sys.modules); import fracfreq.response; "
+            f"print(sorted((set(sys.modules) - before) & {forbidden!r}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().strip() == "[]"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("ppd", ["20", "1"])
     def test_stdout_on_full_device_exits_2(self, ppd):
@@ -302,6 +316,17 @@ class TestEntryPoint:
         assert result.returncode == 2
         # One line: no traceback, and no "Exception ignored" from the flush at exit.
         assert result.stderr.decode() == f"fracfreq: error: cannot write output: {NO_SPACE}\n"
+
+    def test_closed_stdout_exits_2(self):
+        # With file descriptor 1 closed the interpreter sets sys.stdout to None.
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m fracfreq --tf s >&-', sys.executable],
+            stderr=subprocess.PIPE,
+            timeout=60,
+            env=child_env(),
+        )
+        assert result.returncode == 2
+        assert result.stderr.decode() == f"fracfreq: error: cannot write output: {BAD_FD}\n"
 
     def test_module_invocation_parse_error(self):
         result = subprocess.run(

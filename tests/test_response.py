@@ -130,7 +130,8 @@ class TestFrequencyGrid:
         pts = FrequencyGrid(lo, hi, ppd).points()
         assert pts[0] == lo and pts[-1] == hi
         assert all(type(w) is float and lo <= w <= hi for w in pts)
-        # Non-decreasing, not ascending: neighbouring subnormals can round equal.
+        # Non-decreasing, not ascending: neighbouring subnormals can round equal,
+        # and the reproducer above gives [lo, lo, hi, hi].
         assert all(a <= b for a, b in zip(pts, pts[1:]))
 
 

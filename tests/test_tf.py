@@ -215,6 +215,23 @@ class TestPrettyPrint:
         tf = parse_tf("10000/s^0.5")
         assert str(tf) == pretty_print(tf)
 
+    # A double that is an integer prints without ".0"; from 1e16 on, repr
+    # switches to exponent form, and so does the printer.
+    @pytest.mark.parametrize(
+        "text,printed",
+        [
+            ("9999999999999998*s", "9999999999999998*s^1"),
+            ("1e16*s", "1e+16*s^1"),
+            ("s^1e16", "s^1e+16"),
+            ("1e15*s^0.5", "1000000000000000*s^0.5"),
+            ("5e-324", "5e-324"),
+        ],
+    )
+    def test_number_boundaries(self, text, printed):
+        tf = parse_tf(text)
+        assert pretty_print(tf) == printed
+        assert parse_tf(printed) == tf
+
 
 coefficients = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False).filter(lambda c: c != 0.0)
 exponents = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)

@@ -6,6 +6,7 @@ import math
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -373,6 +374,41 @@ def test_small_bad_count_message_shows_it(make, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (
+            lambda: FracTF("x", FracPoly.constant(1.0)),
+            "numerator must be a FracPoly, got str",
+        ),
+        (
+            lambda: FracTF(FracPoly.constant(1.0), 1.0),
+            "denominator must be a FracPoly, got float",
+        ),
+        (lambda: FracPoly((3,)), "terms must be FracTerm, got int"),
+        (
+            lambda: FracPoly((FracTerm(1.0, 1.0), SimpleNamespace(coeff=1.0, exponent=0.0))),
+            "terms must be FracTerm, got SimpleNamespace",
+        ),
+        (
+            lambda: FracPoly((SimpleNamespace(coeff=1.0, exponent=0.0),)),
+            "terms must be FracTerm, got SimpleNamespace",
+        ),
+    ],
+    ids=[
+        "FracTF-numerator",
+        "FracTF-denominator",
+        "FracPoly-int",
+        "FracPoly-later_term",
+        "FracPoly-namespace",
+    ],
+)
+def test_bad_member_type_message_shows_it(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 def test_every_public_name_resolves():
     for name in fracfreq.__all__:
         getattr(fracfreq, name)
@@ -381,6 +417,15 @@ def test_every_public_name_resolves():
     assert set(fracfreq.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         fracfreq.no_such_name
+
+
+def test_records_and_their_functions_live_in_point():
+    # ResponsePoint's module is part of every pickle of it.
+    import fracfreq.point
+
+    assert ResponsePoint.__module__ == "fracfreq.point"
+    for name in ("ResponsePoint", "emit", "response_at", "sweep"):
+        assert getattr(fracfreq, name) is getattr(fracfreq.point, name)
 
 
 def test_public_names_are_pinned():
