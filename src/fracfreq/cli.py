@@ -36,14 +36,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(message) -> None:
+    """Write the one error line; a standard error that cannot be written loses only the line."""
+    try:
+        sys.stderr.write(f"fracfreq: error: {message}\n")
+    except (OSError, AttributeError):  # closed, or None: the exit code still tells
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in ("tf", "format", "out"):
+        # argparse stores [] for an attached "--opt=--", and calls no type= on it.
+        if not isinstance(getattr(args, name), (str, type(None))):
+            parser.error(f"argument --{name}: expected one argument")
 
     try:
         tf = parse_tf(args.tf)
     except ParseError as exc:
-        print(f"fracfreq: error: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_PARSE_ERROR
 
     try:
@@ -54,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         values = rows(tf, grid.points())
     except EvaluationError as exc:
-        print(f"fracfreq: error: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_EVAL_ERROR
 
     data = emit_rows(values, args.format)
@@ -69,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             import contextlib
             with contextlib.suppress(OSError, AttributeError):  # None has no close()
                 sys.stdout.close()  # so that it is not flushed again at exit
-            print(f"fracfreq: error: cannot write output: {exc}", file=sys.stderr)
+            _report(f"cannot write output: {exc}")
             return EXIT_PARSE_ERROR
     else:
         try:

@@ -16,7 +16,10 @@ terms sharing an exponent are merged, zero-coefficient terms dropped,
 and the remainder sorted by strictly decreasing exponent, so two
 structurally equal transfer functions compare equal with ``==``.  The
 polynomial that cancels to nothing is kept as the single constant term
-0; it is legal as a numerator but rejected as a denominator.
+0; it is legal as a numerator but rejected as a denominator.  The parser
+checks each number as it reads it and builds its values from those checked
+numbers unchecked; FracTerm(...), FracPoly(...), FracTF(...), from_terms,
+constant, copy and pickle check every argument.
 """
 
 import math
@@ -83,21 +86,36 @@ class FracPoly(Value):
         """Merge duplicate exponents, drop zero coefficients, sort descending."""
         merged: dict[float, float] = {}
         for t in terms:
+            if type(t) is not FracTerm:
+                raise ValueError(f"terms must be FracTerm, got {type(t).__name__}")
             merged[t.exponent] = merged.get(t.exponent, 0.0) + t.coeff
         return cls._of_merged(merged)
 
     @classmethod
     def _of_merged(cls, merged: dict[float, float]) -> "FracPoly":
-        """from_terms's drop/sort tail on exponent -> sum; ValueError on a sum beyond a double."""
-        kept = [FracTerm(merged[e], e) for e in sorted(merged, reverse=True) if merged[e] != 0.0]
-        return cls(tuple(kept) or (_ZERO_TERM,))
+        """from_terms's drop/sort tail on exponent -> sum; ValueError on a sum beyond a double.
+
+        Built unchecked: the sums are of checked terms, so only a sum can
+        overflow, and distinct keys sort strictly, as __init__ requires."""
+        kept = []
+        for e in sorted(merged, reverse=True):
+            if c := merged[e]:
+                if not math.isfinite(c):
+                    raise ValueError(f"coefficient must be finite, got {c!r}")
+                t = object.__new__(FracTerm)
+                object.__setattr__(t, "coeff", c)
+                object.__setattr__(t, "exponent", e)
+                kept.append(t)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", tuple(kept) or (_ZERO_TERM,))
+        return poly
 
     @classmethod
     def constant(cls, value: float) -> "FracPoly":
         return cls.from_terms([FracTerm(value, 0.0)])
 
     def is_zero(self) -> bool:
-        """Exact in O(1): __init__ admits a zero coefficient only in (_ZERO_TERM,)."""
+        """Exact in O(1): a zero coefficient appears only in (_ZERO_TERM,)."""
         return self.terms[0].coeff == 0.0
 
     def is_one(self) -> bool:
@@ -211,16 +229,20 @@ def parse_tf(text: str) -> FracTF:
     if not parts[1]:
         raise ParseError("empty input", 0)
     numerator, i = _poly(parts, 1)
-    if not parts[i]:
-        return FracTF(numerator, _ONE)
-    if parts[i] != "/":
-        raise _unexpected("'/' or end of input", parts, i)
-    denominator, end = _poly(parts, i + 2)
-    if denominator.is_zero():
-        raise _error("denominator polynomial is zero", parts, i + 2)
-    if parts[end]:
-        raise _unexpected("end of input", parts, end)
-    return FracTF(numerator, denominator)
+    denominator = _ONE
+    if parts[i]:
+        if parts[i] != "/":
+            raise _unexpected("'/' or end of input", parts, i)
+        denominator, end = _poly(parts, i + 2)
+        if denominator.is_zero():
+            raise _error("denominator polynomial is zero", parts, i + 2)
+        if parts[end]:
+            raise _unexpected("end of input", parts, end)
+    # Both sides are _poly's polynomials and the denominator is not zero.
+    tf = object.__new__(FracTF)
+    object.__setattr__(tf, "numerator", numerator)
+    object.__setattr__(tf, "denominator", denominator)
+    return tf
 
 
 # --- printer -------------------------------------------------------------

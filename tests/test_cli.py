@@ -20,7 +20,7 @@ from fracfreq import (
     parse_tf,
     sweep,
 )
-from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main
+from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, build_parser, main
 from helpers import child_env, close
 
 NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
@@ -98,6 +98,21 @@ class TestMain:
         assert err == f"fracfreq: error: cannot write output: {NO_SPACE}\n"
         # Closed, so the interpreter does not flush the unwritten bytes again at exit.
         assert stdout.closed
+
+    # A standard error that cannot be written, or is None (Python started
+    # without descriptor 2), loses the error line but not the exit code.
+    @pytest.mark.parametrize("broken", ["raises", "none"])
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["--tf", "(s"], 2), (["--tf", "1/(s^2+1)", "--wmin", "1", "--wmax", "10", "--ppd", "1"], 3)],
+    )
+    def test_unwritable_stderr_keeps_exit_code(self, argv, code, broken, monkeypatch):
+        class ClosedDescriptor(io.TextIOBase):
+            def write(self, text):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+        monkeypatch.setattr(sys, "stderr", ClosedDescriptor() if broken == "raises" else None)
+        assert main(argv) == code
 
     def test_parse_error_exit_and_offset(self, capsysbinary):
         code, out, err = run_main(["--tf", "s^"], capsysbinary)
@@ -327,6 +342,45 @@ class TestEntryPoint:
         )
         assert result.returncode == 2
         assert result.stderr.decode() == f"fracfreq: error: cannot write output: {BAD_FD}\n"
+
+    # Python 3.11's argparse stores [] for an attached "--opt=--"; a later
+    # one may store "--", which is then an expression, a format or a path.
+    @pytest.mark.parametrize(
+        "argv,name",
+        [(["--tf=--"], "tf"), (["--tf", "s", "--format=--"], "format"), (["--tf", "s", "--out=--"], "out")],
+        ids=["tf", "format", "out"],
+    )
+    def test_option_given_double_dash_exits_2(self, argv, name, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "fracfreq", *argv],
+            capture_output=True,
+            timeout=60,
+            env=child_env(),
+            cwd=tmp_path,
+        )
+        if type(getattr(build_parser().parse_args(argv), name)) is str:
+            assert result.returncode == (0 if name == "out" else 2)
+            return
+        assert (result.returncode, result.stdout) == (2, b"")
+        err = result.stderr.decode()
+        assert err.endswith(f"fracfreq: error: argument --{name}: expected one argument\n")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    # With file descriptor 2 closed, the error line is lost but not the exit code.
+    @pytest.mark.parametrize(
+        "args,code",
+        [('--tf "(s"', 2), ('--tf "1/(s^2+1)" --wmin 1 --wmax 10 --ppd 1', 3)],
+        ids=["parse", "eval"],
+    )
+    def test_closed_stderr_keeps_exit_code(self, args, code):
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m fracfreq {args} 2>&-', sys.executable],
+            stdout=subprocess.PIPE,
+            timeout=60,
+            env=child_env(),
+        )
+        assert (result.returncode, result.stdout) == (code, b"")
 
     def test_module_invocation_parse_error(self):
         result = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 from decimal import Decimal, localcontext
 
@@ -248,6 +249,70 @@ class TestRoundTrip:
     def test_zero_numerator_round_trips(self):
         tf = parse_tf("0/s^0.5")
         assert parse_tf(pretty_print(tf)) == tf
+
+
+# Texts the grammar accepts, with repeated exponents that merge or cancel,
+# literals whose products or sums leave the double range, and parentheses.
+_literals = st.one_of(
+    st.sampled_from(["0", "1", "2", "0.5", "2.5", "1e308", "1e-320"]),
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+)
+_factors = st.one_of(_literals, st.just("s"), _literals.map("s^{}".format))
+_terms = st.lists(_factors, min_size=1, max_size=3).map("*".join)
+_poly_texts = st.lists(st.tuples(st.sampled_from("+-"), _terms), min_size=1, max_size=5).map(
+    lambda signed: "(" + "".join(sign + term for sign, term in signed) + ")"
+)
+_tf_texts = st.one_of(_poly_texts, st.builds("{} / {}".format, _poly_texts, _poly_texts))
+
+
+def checked_copy(tf: FracTF) -> FracTF:
+    """tf rebuilt field by field through every checked constructor."""
+
+    def poly(p: FracPoly) -> FracPoly:
+        return FracPoly(tuple(FracTerm(t.coeff, t.exponent) for t in p.terms))
+
+    return FracTF(poly(tf.numerator), poly(tf.denominator))
+
+
+class TestParseBuildsOnce:
+    @given(_tf_texts)
+    def test_parsed_values_equal_checked_ones(self, text):
+        try:
+            tf = parse_tf(text)
+        except ParseError:
+            assume(False)
+        checked = checked_copy(tf)
+        assert tf == checked
+        assert repr(tf) == repr(checked)
+        assert hash(tf) == hash(checked)
+        assert pickle.dumps(tf) == pickle.dumps(checked)
+        for t in tf.numerator.terms + tf.denominator.terms:
+            assert (type(t.coeff), type(t.exponent)) == (float, float)
+
+    def test_parse_calls_no_init(self, monkeypatch):
+        calls = []
+        for cls in (FracTerm, FracPoly, FracTF):
+
+            def counted_init(self, *args, _checked=cls.__init__):
+                calls.append((type(self).__name__, args))
+                _checked(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        for text in ["s", "s-s", "(3*s^0.5+2)/(s^1.2+4*s^0.7+1)", "s^0.5+s^0.5-1", "0/(2*s+s)"]:
+            parse_tf(text)
+        assert calls == []
+        # The counters see the checked paths, which still reject bad fields.
+        checked_copy(parse_tf("s"))
+        assert [name for name, _ in calls] == ["FracTerm", "FracPoly"] * 2 + ["FracTF"]
+        calls.clear()
+        with pytest.raises(ValueError, match="^exponent must be finite and >= 0, got -1.0$"):
+            FracTerm(1.0, -1.0)
+        assert calls == [("FracTerm", (1.0, -1.0))]
+
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_from_terms_rejects_merged_overflow(self, c):
+        with pytest.raises(ValueError, match=f"^coefficient must be finite, got {c * 2!r}$"):
+            FracPoly.from_terms([FracTerm(c, 1.0), FracTerm(c, 1.0)])
 
 
 class TestEvalPoly:

@@ -394,6 +394,12 @@ def test_small_bad_count_message_shows_it(make, message):
             lambda: FracPoly((SimpleNamespace(coeff=1.0, exponent=0.0),)),
             "terms must be FracTerm, got SimpleNamespace",
         ),
+        (lambda: FracPoly.from_terms((3,)), "terms must be FracTerm, got int"),
+        (lambda: FracPoly.from_terms(("x",)), "terms must be FracTerm, got str"),
+        (
+            lambda: FracPoly.from_terms([SimpleNamespace(coeff=1.0, exponent=0.0)]),
+            "terms must be FracTerm, got SimpleNamespace",
+        ),
     ],
     ids=[
         "FracTF-numerator",
@@ -401,6 +407,9 @@ def test_small_bad_count_message_shows_it(make, message):
         "FracPoly-int",
         "FracPoly-later_term",
         "FracPoly-namespace",
+        "from_terms-int",
+        "from_terms-str",
+        "from_terms-namespace",
     ],
 )
 def test_bad_member_type_message_shows_it(make, message):
