@@ -16,8 +16,15 @@ EXIT_PARSE_ERROR = 2
 EXIT_EVAL_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's print_usage falls back to stdout when sys.stderr is None.
+        _report(message, self.format_usage())
+        sys.exit(EXIT_PARSE_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracfreq",
         description="Evaluate a fractional-order transfer function over a "
         "logarithmic frequency grid and emit Bode data.",
@@ -36,10 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(message) -> None:
-    """Write the one error line; a standard error that cannot be written loses only the line."""
+def _report(message, usage: str = "") -> None:
+    """Write the error line, after usage; a standard error that cannot be written loses only them."""
     try:
-        sys.stderr.write(f"fracfreq: error: {message}\n")
+        sys.stderr.write(f"{usage}fracfreq: error: {message}\n")
     except (OSError, AttributeError):  # closed, or None: the exit code still tells
         pass
 

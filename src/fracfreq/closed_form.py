@@ -80,9 +80,19 @@ def affine_mag(p: CaseIIParams) -> float:
     of affine_jomega's components, and only that exponent agrees with
     direct complex evaluation for omega != 1 (see
     affine_mag_omega2_cross_term for the wrong-exponent variant).
+    b and t = a*w**a are first divided by a power of two near max(b, t),
+    which is exact, so no square over- or underflows.  ValueError, as from
+    affine_jomega, when t or the magnitude is beyond a double.
     """
     t = p.a * p.omega**p.alpha
-    return math.sqrt(p.b * p.b + t * t + 2.0 * p.b * t * j_pow(p.alpha).real)
+    if t == math.inf:
+        raise ValueError(f"a*omega**alpha must be finite, got {t!r}")
+    k = math.frexp(max(p.b, t))[1]
+    b, t = math.ldexp(p.b, -k), math.ldexp(t, -k)
+    try:
+        return math.ldexp(math.sqrt(b * b + t * t + 2.0 * b * t * j_pow(p.alpha).real), k)
+    except OverflowError:
+        raise ValueError("affine magnitude must be finite, got inf") from None
 
 
 def affine_arg(p: CaseIIParams) -> float:

@@ -1,11 +1,10 @@
 """Multi-branch roots and fractional powers of complex values.
 
-An n-th root has exactly n distinct values, at angles (phi + 2*k*pi)/n
-for k = 0..n-1.  ``nth_roots`` enumerates them all, ``pow_branch``
-generalizes the branch index to exponents alpha in (0, 1], and
-``principal_pow`` fixes k = 0 and extends the exponent to any
-nonnegative real.  ``principal_pow`` doubles as the reference
-evaluator that the closed-form module is tested against.
+Branch k of s**alpha is |s|**alpha * [cos(alpha*(phi + 2*k*pi)) + j*sin(...)],
+phi the principal argument of s; one body, ``_powers``, computes it.
+``principal_pow`` is branch 0 for any alpha >= 0, ``pow_branch`` branch k
+for alpha in (0, 1], and ``nth_roots`` all n branches of s**(1/n).
+``principal_pow`` doubles as the closed-form module's reference evaluator.
 """
 
 import math
@@ -45,55 +44,47 @@ def branch_count(alpha: float) -> int:
     return n if 1 / n == alpha else -(-q // p)
 
 
+def _powers(s: Complex, alpha: float, branches) -> list[Complex]:
+    """Branch k of s**alpha for each k in branches; branch 0's angle is alpha*phi itself."""
+    if s.is_zero():
+        raise ValueError("fractional power of zero is undefined")
+    p = to_polar(s)
+    try:
+        r_alpha = p.r**alpha
+    except OverflowError:
+        raise ValueError(f"|s|**alpha overflows a double, got {p.r!r}**{alpha!r}") from None
+    angles = [alpha * (p.phi + 2.0 * math.pi * k) if k else alpha * p.phi for k in branches]
+    return [Complex(r_alpha * math.cos(a), r_alpha * math.sin(a)) for a in angles]
+
+
 def nth_roots(s: Complex, n: int) -> list[Complex]:
     """All n distinct n-th roots of a nonzero s, principal branch first.
 
-    Index k holds r**(1/n) * [cos((phi + 2*k*pi)/n) + j*sin(...)].
+    Index k is branch k of s**(1/n), pow_branch(s, 1/n, k) exactly.
     """
     # A list holds at most sys.maxsize values.
     n = count(n, "root order must be a positive integer", 1, sys.maxsize)
-    if s.is_zero():
-        raise ValueError("roots of zero are undefined (argument of zero)")
-    p = to_polar(s)
-    root_r = p.r ** (1.0 / n)
-    out = []
-    for k in range(n):
-        angle = (p.phi + 2.0 * math.pi * k) / n
-        out.append(Complex(root_r * math.cos(angle), root_r * math.sin(angle)))
-    return out
+    return _powers(s, 1.0 / n, range(n))
 
 
 def pow_branch(s: Complex, alpha: float, k: int) -> Complex:
     """Branch k of s**alpha for alpha in (0, 1].
 
-    Returns |s|**alpha * [cos(alpha*(phi + 2*k*pi)) + j*sin(...)] with
-    phi the principal argument of s.  Valid branch indices run from 0
-    to branch_count(alpha) - 1; pow_branch(s, 1/n, k) equals
-    nth_roots(s, n)[k].
+    Valid branch indices run from 0 to branch_count(alpha) - 1.
     """
     last = branch_count(alpha) - 1
     # A bound beyond 64 bits is named, not written out in decimal.
     bound = last if last.bit_length() < 64 else "branch_count(alpha) - 1"
     k = count(k, f"branch index must be an integer in [0, {bound}]", 0, last)
-    if s.is_zero():
-        raise ValueError("fractional power of zero is undefined")
-    p = to_polar(s)
-    r_alpha = p.r**alpha
-    angle = alpha * (p.phi + 2.0 * math.pi * k)
-    return Complex(r_alpha * math.cos(angle), r_alpha * math.sin(angle))
+    return _powers(s, alpha, (k,))[0]
 
 
 def principal_pow(s: Complex, alpha: float) -> Complex:
-    """Principal-branch power |s|**alpha * [cos(alpha*phi) + j*sin(alpha*phi)].
+    """Branch 0 of s**alpha, |s|**alpha * [cos(alpha*phi) + j*sin(alpha*phi)].
 
     Accepts any finite alpha >= 0 (alpha = 0 gives 1 for every nonzero
     s), which is what the transfer-function evaluator needs for terms
-    like s**1.2.  Agrees with pow_branch(s, alpha, 0) on (0, 1].
+    like s**1.2.
     """
     alpha = real(alpha, "exponent must be finite and >= 0", 0.0)
-    if s.is_zero():
-        raise ValueError("fractional power of zero is undefined")
-    p = to_polar(s)
-    r_alpha = p.r**alpha
-    angle = alpha * p.phi
-    return Complex(r_alpha * math.cos(angle), r_alpha * math.sin(angle))
+    return _powers(s, alpha, (0,))[0]

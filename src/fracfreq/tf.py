@@ -299,12 +299,8 @@ def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
 
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
-    """Value of the polynomial at s = j*omega; EvaluationError (carrying omega) on overflow."""
-    omega = real(omega, *OMEGA)
-    (z,) = _poly_on(p, [omega])
-    if not math.hypot(z.real, z.imag) < math.inf:
-        raise EvaluationError("a value overflows", omega)
-    return Complex(z.real, z.imag)
+    """Value of the polynomial at s = j*omega: eval_tf of p/1, the same value and errors."""
+    return eval_tf(FracTF(p, _ONE), omega)
 
 
 def _h_on(tf: FracTF, omegas: list[float]) -> list[tuple[complex, float]]:

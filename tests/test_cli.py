@@ -370,8 +370,14 @@ class TestEntryPoint:
     # With file descriptor 2 closed, the error line is lost but not the exit code.
     @pytest.mark.parametrize(
         "args,code",
-        [('--tf "(s"', 2), ('--tf "1/(s^2+1)" --wmin 1 --wmax 10 --ppd 1', 3)],
-        ids=["parse", "eval"],
+        [
+            ('--tf "(s"', 2),
+            ('--tf "1/(s^2+1)" --wmin 1 --wmax 10 --ppd 1', 3),
+            ("--tf s --ppd 0", 2),
+            ("--tf s --ppd x", 2),
+            ("--ppd 5", 2),
+        ],
+        ids=["parse", "eval", "usage-grid", "usage-type", "usage-missing-tf"],
     )
     def test_closed_stderr_keeps_exit_code(self, args, code):
         result = subprocess.run(

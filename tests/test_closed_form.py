@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -151,12 +151,25 @@ class TestAffine:
         assert 0.0 < got < 1e-6
 
     @given(gains, gains, omegas, alphas)
+    # Squares of b and a*omega**alpha past the double range: scaled, they are exact.
+    @example(1e160, 1.0, 1.0, 0.5)
+    @example(1e-170, 1e-170, 1.0, 0.5)
     def test_matches_oracle(self, a, b, omega, alpha):
         p = CaseIIParams(a, b, omega, alpha)
         z = oracle_affine(a, b, omega, alpha)
         assert complex_close(affine_jomega(p), z, rel=1e-12, abs_tol=0.0)
         assert close(affine_mag(p), magnitude(z), rel=1e-12, abs_tol=0.0)
         assert close(affine_arg(p), argument(z), rel=0.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a,b,omega,alpha",
+        [(1e308, 1.0, 1e300, 0.5), (1.7e308, 1.7e308, 1.0, 0.01)],
+        ids=["a*omega**alpha", "magnitude"],
+    )
+    @pytest.mark.parametrize("f", [affine_mag, affine_jomega], ids=["affine_mag", "affine_jomega"])
+    def test_beyond_a_double_is_value_error(self, f, a, b, omega, alpha):
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            f(CaseIIParams(a, b, omega, alpha))
 
     @given(gains, gains, omegas, alphas)
     def test_pythagorean_consistency(self, a, b, omega, alpha):

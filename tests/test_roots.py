@@ -136,6 +136,37 @@ class TestPowBranch:
                 assert complex_close(pow_branch(s, 1.0 / n, k), roots[k])
 
 
+class TestOnePolarPower:
+    """nth_roots, pow_branch and principal_pow are one formula, so they agree bit for bit."""
+
+    @given(nonzero_values(), st.integers(min_value=1, max_value=64))
+    def test_nth_roots_are_pow_branch_exactly(self, s, n):
+        expected = [repr(pow_branch(s, 1.0 / n, k)) for k in range(n)]
+        assert [repr(z) for z in nth_roots(s, n)] == expected
+
+    # Complex(r, -0.0) has the angle -0.0, which branch 0 keeps.
+    @given(
+        st.one_of(nonzero_values(), st.builds(Complex, radii, st.just(-0.0))),
+        st.floats(min_value=math.ulp(0.0), max_value=1.0),
+    )
+    def test_pow_branch_zero_is_principal_pow(self, s, alpha):
+        assert repr(pow_branch(s, alpha, 0)) == repr(principal_pow(s, alpha))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda s: nth_roots(s, 3), lambda s: pow_branch(s, 0.5, 1), lambda s: principal_pow(s, 2.5)],
+        ids=["nth_roots", "pow_branch", "principal_pow"],
+    )
+    def test_zero_base_has_one_message(self, call):
+        with pytest.raises(ValueError, match="^fractional power of zero is undefined$"):
+            call(Complex(0.0, -0.0))
+
+    @pytest.mark.parametrize("s,alpha", [(Complex(1e300, 0.0), 2.0), (Complex(0.0, -1e200), 1.6)])
+    def test_principal_pow_overflow_is_value_error(self, s, alpha):
+        with pytest.raises(ValueError, match=r"^\|s\|\*\*alpha overflows a double, got "):
+            principal_pow(s, alpha)
+
+
 class TestBranchCount:
     @pytest.mark.parametrize("n", list(range(1, 50)))
     def test_reciprocal_exponents(self, n):

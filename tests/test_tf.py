@@ -348,6 +348,33 @@ class TestEvalPoly:
         assert got == Complex(unit[0] * r, unit[1] * r)
 
 
+wide_coefficients = st.builds(
+    lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(min_value=-300, max_value=300)
+)
+wide_exponents = st.one_of(st.floats(min_value=0.0, max_value=40.0), st.integers(0, 40).map(float))
+wide_polys = st.lists(st.builds(FracTerm, wide_coefficients, wide_exponents), min_size=1, max_size=4).map(
+    FracPoly.from_terms
+)
+
+
+def _outcome(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except EvaluationError as exc:
+        return f"EvaluationError: {exc}"
+
+
+class TestEvalPolyIsEvalTF:
+    @given(wide_polys, st.floats(min_value=-12, max_value=12).map(lambda e: 10.0**e))
+    def test_same_value_or_error(self, p, omega):
+        over_one = FracTF(p, FracPoly.constant(1.0))
+        assert _outcome(eval_poly, p, omega) == _outcome(eval_tf, over_one, omega)
+
+    def test_not_a_polynomial_is_value_error(self):
+        with pytest.raises(ValueError, match="^numerator must be a FracPoly, got str$"):
+            eval_poly("s", 1.0)
+
+
 class TestEvalTF:
     def test_fractional_capacitor_at_unit_frequency(self):
         value = eval_tf(parse_tf("10000/s^0.5"), 1.0)
