@@ -281,16 +281,18 @@ def pretty_print(tf: FracTF) -> str:
 
 def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
-    gains c * (omega**e * j**e) for one term at a time, c last, so a
-    subnormal c costs one rounding of the whole term.  j**e is computed
-    once per term for the column, not stored on p.  An omega**e that
-    overflows makes that omega's sum infinite; the column is then redone
-    one omega at a time, so no other omega's value changes."""
+    gains (c * omega**e) * j**e, Table I's magnitude times phasor, one
+    term at a time; for |c| > 1, (c/2 * omega**e) * (2 * j**e): exact
+    scalings, so c/2 * omega**e overflows only where the term does.  An
+    omega**e that overflows makes its omega's sum infinite and the column
+    is redone one omega at a time, so no other omega's value changes."""
     acc = [0j] * len(omegas)
     try:
         for t in p.terms:
             e, c, jj = t.exponent, t.coeff, j_pow(t.exponent)
-            acc = [a + c * (w**e * jj) for a, w in zip(acc, omegas)]
+            if abs(c) > 1.0:
+                c, jj = c * 0.5, jj + jj
+            acc = [a + c * w**e * jj for a, w in zip(acc, omegas)]
     except OverflowError:
         if len(omegas) == 1:
             return [complex(math.inf)]

@@ -5,9 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -164,6 +165,20 @@ class TestMain:
         first = [float(v) for v in out.decode().splitlines()[1].split(",")]
         assert close(first[1], mag, abs_tol=0.0)
 
+    def test_term_whose_real_product_overflows_evaluates(self, capsysbinary):
+        # c * omega**0.5 = 1.5e308 * 2**0.5 is beyond a double at omega = 2,
+        # but each part of the term, 1.5e308 * (1 + j), is not.
+        argv = ["--tf", "1.5e308*s^0.5/s", "--wmin", "1", "--wmax", "2", "--ppd", "1"]
+        code, out, err = run_main(argv, capsysbinary)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            b"omega,mag_linear,mag_db,phase_rad,phase_deg\n"
+            b"1.0000000000000000e+00,1.5000000000000000e+308,6.1635218251811139e+03,"
+            b"-7.8539816339744839e-01,-4.5000000000000007e+01\n"
+            b"2.0000000000000000e+00,1.0606601717798214e+308,6.1605115252244741e+03,"
+            b"-7.8539816339744839e-01,-4.5000000000000007e+01\n"
+        )
+
     @pytest.mark.parametrize(
         "text,wmin,wmax,omega",
         [
@@ -222,32 +237,106 @@ tf_texts = st.one_of(
 bounds = st.floats(min_value=1e-300, max_value=1e300)
 
 
+def run_in_process(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout bytes, stderr text).
+
+    In process, a usage error is SystemExit(2) from argparse, not a return
+    value (``--tf=--`` is one); it counts as exit 2.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            if exc.code != EXIT_PARSE_ERROR:
+                raise
+            code = exc.code
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
 class TestExitContract:
     @settings(deadline=None)
     @given(tf_texts, bounds, bounds, st.integers(1, 3))
+    @example("--", 1.0, 2.0, 1)
     def test_every_input_exits_0_2_or_3(self, text, w1, w2, ppd):
         if w1 == w2:
             return
         wmin, wmax = sorted((w1, w2))
         argv = [f"--tf={text}", f"--wmin={wmin!r}", f"--wmax={wmax!r}", f"--ppd={ppd}"]
-        out = io.TextIOWrapper(io.BytesIO())
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+        code, out, _ = run_in_process(argv)
         assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_EVAL_ERROR)
-        assert (out.buffer.getvalue() != b"") == (code == EXIT_OK)
+        assert (out != b"") == (code == EXIT_OK)
 
 
-def run_in_process(argv):
-    """main(argv) with stdout and stderr captured: (exit code, stdout bytes, stderr text)."""
-    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.buffer.getvalue(), err.getvalue()
+# Values that argparse, the parser and the grid each treat specially.
+EDGE_VALUES = [
+    "--", "-", "", "-s+1", "1.7976931348623157e308", "-1.7976931348623157e308", "5e-324",
+    "2.2250738585072014e-308", "1e309", "inf", "nan", "9" * 400, str(2**1024), "\udcff", "s\udc80",
+]
+# Ordinary values of each option, so that some command lines get to exit 0 or 3.
+OPTION_VALUES = {
+    "--tf": ["s", "1/(s^0.5+1)", "1e300*s^400", "s^2/(s^2+1)"],
+    "--wmin": ["0.01", "1"],
+    "--wmax": ["10", "1e10"],
+    "--ppd": ["1", "3"],
+    "--format": list(FORMATS),
+    "--out": ["out.csv"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """Command lines of the six options, each value attached with "=" or given separately."""
+    argv = []
+    for _ in range(draw(st.integers(0, 7))):
+        option = draw(st.sampled_from(list(OPTION_VALUES)))
+        value = draw(st.sampled_from(OPTION_VALUES[option]) | st.sampled_from(EDGE_VALUES))
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return argv
+
+
+def read_bode(data: bytes, fmt: str) -> list[list[float]]:
+    """The rows of CSV or JSON Bode data; raises if data is not that."""
+    if fmt == "json":
+        records = json.loads(data)
+        assert all(list(r) == CSV_HEADER.split(",") for r in records)
+        return [list(r.values()) for r in records]
+    header, *lines = data.decode("ascii").split("\n")
+    assert header == CSV_HEADER and lines.pop() == ""
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+class TestArgvFuzz:
+    @settings(deadline=None)
+    @given(argvs())
+    @example(["--tf=--"])
+    @example(["--tf", "s", "--out", "--", "--format=json"])
+    @example(["--tf", "1/(s^0.5+1)", "--wmin=5e-324", "--wmax", "1.7976931348623157e308", "--ppd=1"])
+    def test_every_command_line_exits_0_2_or_3(self, argv):
+        with tempfile.TemporaryDirectory() as where:
+            cwd = os.getcwd()
+            os.chdir(where)  # --out writes relative paths here
+            try:
+                code, out, _ = run_in_process(argv)
+                assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_EVAL_ERROR)
+                if code != EXIT_OK:
+                    assert out == b""
+                    return
+                args = build_parser().parse_args(argv)
+                if args.out is not None:
+                    assert out == b""
+                    with open(args.out, "rb") as written:
+                        out = written.read()
+            finally:
+                os.chdir(cwd)
+        rows = read_bode(out, args.format)
+        assert rows and [r[0] for r in rows] == sorted(r[0] for r in rows)
 
 
 class TestRowPath:
     @settings(deadline=None)
     @given(tf_texts, bounds, bounds, st.integers(1, 3), st.sampled_from(FORMATS))
+    @example("--", 1.0, 2.0, 1, "csv")
     def test_main_equals_library_emit(self, text, w1, w2, ppd, fmt):
         # The CLI emits rows without building ResponsePoints; its bytes and
         # its failures must be the library's.

@@ -30,6 +30,8 @@ from fracfreq.response import MAX_GRID_POINTS, rows
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
 
+DBL_MIN = sys.float_info.min
+
 DECADE_GRID = FrequencyGrid(1.0, 100.0, 1)
 
 
@@ -235,18 +237,21 @@ kernel_exponents = st.one_of(
     ),
     st.floats(min_value=0.0, max_value=600.0),
 )
-kernel_polys = st.lists(
-    st.tuples(st.floats(min_value=-1e300, max_value=1e300).filter(bool), kernel_exponents),
-    min_size=1,
-    max_size=6,
-).map(lambda terms: FracPoly.from_terms([FracTerm(c, e) for c, e in terms]))
+
+
+def kernel_polys_of(exponents):
+    return st.lists(
+        st.tuples(st.floats(min_value=-1e300, max_value=1e300).filter(bool), exponents),
+        min_size=1,
+        max_size=6,
+    ).map(lambda terms: FracPoly.from_terms([FracTerm(c, e) for c, e in terms]))
 
 
 @st.composite
-def kernel_columns(draw):
+def kernel_columns(draw, exponents=kernel_exponents):
     """A polynomial and a column of omegas; when the largest exponent
     e_max > 1.01, one omega, at a drawn place, has omega**e_max overflow."""
-    p = draw(kernel_polys)
+    p = draw(kernel_polys_of(exponents))
     omegas = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8))
     e_max = p.terms[0].exponent
     if e_max > 1.01:
@@ -255,7 +260,22 @@ def kernel_columns(draw):
 
 
 def in_order_sum(p: FracPoly, omega: float) -> complex:
-    """p at s = j*omega as the sum, in term order, of c * (omega**e * j**e)."""
+    """p at s = j*omega as the sum, in term order, of (c * omega**e) * j**e,
+    with c halved and j**e doubled where |c| > 1."""
+    acc = 0j
+    try:
+        for t in p.terms:
+            c, jj = t.coeff, j_pow(t.exponent)
+            if abs(c) > 1.0:
+                c, jj = c * 0.5, complex(2.0 * jj.real, 2.0 * jj.imag)
+            acc = acc + c * omega**t.exponent * jj
+    except OverflowError:
+        return complex(math.inf)
+    return acc
+
+
+def phasor_first_sum(p: FracPoly, omega: float) -> complex:
+    """The same sum with each term formed as c * (omega**e * j**e): two complex multiplies."""
     acc = 0j
     try:
         for t in p.terms:
@@ -263,6 +283,19 @@ def in_order_sum(p: FracPoly, omega: float) -> complex:
     except OverflowError:
         return complex(math.inf)
     return acc
+
+
+@st.composite
+def big_terms(draw):
+    """c with |c| > 1, an exponent e and an omega with omega**e anywhere in the double range."""
+    c = draw(st.floats(min_value=1.0, max_value=sys.float_info.max, exclude_min=True))
+    e = draw(st.integers(1, 600).map(float) | st.floats(min_value=0.01, max_value=600.0))
+    log2_power = draw(st.floats(min_value=-1074.0, max_value=1023.0))
+    return draw(st.sampled_from([c, -c])), e, 2.0 ** max(-1074.0, min(log2_power / e, 1023.0))
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
 
 
 def first_eval_error(tf, omegas) -> EvaluationError | None:
@@ -324,13 +357,45 @@ class TestColumnEvaluation:
     @settings(deadline=None)
     @given(kernel_columns())
     @example((parse_tf("s^400+3*s^2.5").numerator, [0.1, 6.309573444801933, 2.0]))
+    # 1.5e308 * 2**0.5 overflows unless c is halved first.
+    @example((parse_tf("1.5e308*s^0.5").numerator, [1.0, 2.0]))
     def test_column_is_the_in_order_sum_bit_for_bit(self, column):
         p, omegas = column
         got = _poly_on(p, omegas)
         assert len(got) == len(omegas)
         for z, omega in zip(got, omegas):
-            want = in_order_sum(p, omega)
-            assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex()), omega
+            assert bits(z) == bits(in_order_sum(p, omega)), omega
+
+    @settings(deadline=None)
+    @given(kernel_columns(st.integers(0, 600).map(float)))
+    @example((parse_tf("-3*s^2+1e300*s^101+s").numerator, [0.5, 1e3, 1.0]))
+    @example((parse_tf("1.25*s").numerator, [5e-324, 1.0]))
+    def test_integer_exponents_keep_the_phasor_first_bits(self, column):
+        # j**e is an exact quarter turn, so both orders round only c * omega**e,
+        # once.  Where the phasor-first sum overflows, the kernel's may be nan
+        # instead of inf; where c/2 * omega**e is subnormal, the halving can
+        # lose its last bit (1.25*s at omega = 5e-324 gives 1e-323j, not 5e-324j).
+        p, omegas = column
+        for z, omega in zip(_poly_on(p, omegas), omegas):
+            want = phasor_first_sum(p, omega)
+            if not (math.isfinite(want.real) and math.isfinite(want.imag)):
+                continue
+            sizes = [abs(t.coeff) * omega**t.exponent for t in p.terms]
+            if any(abs(t.coeff) > 1.0 and 0.0 < size < 2.0 * DBL_MIN for t, size in zip(p.terms, sizes)):
+                # One ulp(0) in that term, and then at most one ulp of a partial sum per addition.
+                assert abs(z - want) <= 2 * len(sizes) * math.ulp(sum(sizes)), omega
+                continue
+            assert bits(z) == bits(want), omega
+
+    @given(big_terms())
+    def test_halved_term_equals_unhalved_bit_for_bit(self, term):
+        # (c/2 * w) * (2 * j**e) rounds the same reals as (c * w) * j**e, so
+        # the two agree to the bit unless c/2 * w is subnormal or c * w overflows.
+        c, e, omega = term
+        whole = c * omega**e
+        assume(math.isfinite(whole) and abs(whole) * 0.5 >= DBL_MIN)
+        (z,) = _poly_on(FracPoly((FracTerm(c, e),)), [omega])
+        assert bits(z) == bits(0j + whole * j_pow(e))
 
     def test_overflow_makes_only_its_own_omega_infinite(self):
         den = parse_tf("1/(s^400+1)").denominator

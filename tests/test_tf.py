@@ -4,7 +4,7 @@ import sys
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -530,9 +530,12 @@ class TestKernelAgainstOracle:
 
 class TestKernelAgainstDecimalReference:
     @given(kernel_polys, kernel_polys.filter(lambda p: not p.is_zero()), kernel_omegas)
+    # A subnormal coefficient: c * omega**e is formed before j**e joins it.
+    @example(parse_tf("5e-324*s^0.5").numerator, FracPoly.constant(1.0), 1e300)
     def test_eval_tf_within_conditioned_bound(self, num, den, omega):
-        # Each term c*(omega**e * j**e) carries 8 roundings u in norm
-        # (omega**e 1, j**e 3, two products 2, sqrt(2) for a complex norm),
+        # Each term (c*omega**e) * j**e carries 8 roundings u in norm
+        # (omega**e 1, j**e 3, two products 2, sqrt(2) for a complex norm;
+        # halving c and doubling j**e for |c| > 1 is exact),
         # a sum of m terms m - 1 more and Smith's division 4, so with
         # cond = sum|n_k w**e_k| / |N| + sum|d_k w**e_k| / |D| (Higham,
         # ch. 4), |H - ref| <= k*u*cond*|ref| for k = 12 + m_N + m_D,
