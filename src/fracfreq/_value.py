@@ -52,12 +52,19 @@ class Value:
     ``==`` holds only between instances of the same class with equal
     fields, and hash and repr are taken over the fields in order.
     Assignment and deletion raise AttributeError, so each subclass's
-    ``__init__`` validates its arguments and then stores each field once
-    with ``object.__setattr__``.  Copy and pickle rebuild through
-    ``__init__``.
+    ``__init__`` validates its arguments and ends with one call of
+    ``Value.__init__``, which stores them in ``__slots__`` order.  Copy
+    and pickle rebuild through the subclass's ``__init__``.  The parser's
+    unchecked builds in ``tf`` are the one exception: they store their
+    fields inline, because a parse builds a record per term and the
+    generic store takes about twice as long per record.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -35,11 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EXPR",
         help="transfer function, e.g. '10000/s^0.5' or '(3*s^0.5+2)/(s^1.2+1)'",
     )
-    parser.add_argument("--wmin", type=float, default=0.01, help="lowest angular frequency [rad/s]")
-    parser.add_argument("--wmax", type=float, default=100.0, help="highest angular frequency [rad/s]")
-    parser.add_argument("--ppd", type=int, default=20, help="points per decade")
+    parser.add_argument("--wmin", type=float, help="lowest angular frequency [rad/s]")
+    parser.add_argument("--wmax", type=float, help="highest angular frequency [rad/s]")
+    parser.add_argument("--ppd", type=int, help="points per decade")
     parser.add_argument("--format", choices=FORMATS, default="csv", help="output format")
     parser.add_argument("--out", metavar="PATH", default=None, help="output file (default: stdout)")
+    grid = FrequencyGrid()  # the default grid is the library's
+    parser.set_defaults(wmin=grid.omega_min, wmax=grid.omega_max, ppd=grid.points_per_decade)
     return parser
 
 
@@ -61,20 +63,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         tf = parse_tf(args.tf)
+        values = rows(tf, FrequencyGrid(args.wmin, args.wmax, args.ppd).points())
     except ParseError as exc:
         _report(exc)
         return EXIT_PARSE_ERROR
-
-    try:
-        grid = FrequencyGrid(args.wmin, args.wmax, args.ppd)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    try:
-        values = rows(tf, grid.points())
     except EvaluationError as exc:
         _report(exc)
         return EXIT_EVAL_ERROR
+    except ValueError as exc:  # FrequencyGrid's; both errors above subclass ValueError
+        parser.error(str(exc))
 
     data = emit_rows(values, args.format)
     if args.out is None:

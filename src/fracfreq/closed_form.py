@@ -29,10 +29,7 @@ class CaseIParams(Value):
     __slots__ = ("omega", "alpha")
 
     def __init__(self, omega: float, alpha: float) -> None:
-        omega = real(omega, *OMEGA)
-        alpha = real(alpha, *_ALPHA)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "alpha", alpha)
+        Value.__init__(self, real(omega, *OMEGA), real(alpha, *_ALPHA))
 
 
 class CaseIIParams(Value):
@@ -43,12 +40,7 @@ class CaseIIParams(Value):
     def __init__(self, a: float, b: float, omega: float, alpha: float) -> None:
         a = real(a, "gain a must be finite and > 0", TINY)
         b = real(b, "offset b must be finite and > 0", TINY)
-        omega = real(omega, *OMEGA)
-        alpha = real(alpha, *_ALPHA)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "alpha", alpha)
+        Value.__init__(self, a, b, real(omega, *OMEGA), real(alpha, *_ALPHA))
 
 
 def jomega_pow(p: CaseIParams) -> Complex:

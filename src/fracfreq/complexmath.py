@@ -21,9 +21,7 @@ class Complex(Value):
 
     def __init__(self, re: float, im: float = 0.0) -> None:
         re = real(re, "real part must be finite")
-        im = real(im, "imaginary part must be finite")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        Value.__init__(self, re, real(im, "imaginary part must be finite"))
 
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0

@@ -25,6 +25,13 @@ _CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e\n"
 _JSON_OBJECT = "  {\n%s\n  }" % ",\n".join(f'    "{n}": %s' for n in CSV_HEADER.split(","))
 
 
+def _log_span(lo: float, hi: float, ppd: int) -> tuple[float, float, int]:
+    """log10 of both endpoints and the interval count between them, ppd per decade."""
+    lg0 = math.log10(lo)
+    lg1 = math.log10(hi)
+    return lg0, lg1, max(1, round((lg1 - lg0) * ppd))
+
+
 class FrequencyGrid(Value):
     """Log-spaced angular-frequency samples over [omega_min, omega_max]."""
 
@@ -37,29 +44,21 @@ class FrequencyGrid(Value):
         above_lo = math.nextafter(lo, math.inf)
         hi = real(omega_max, "omega_max must be finite and > omega_min", above_lo)
         ppd = count(points_per_decade, "points_per_decade must be a positive integer", 1, math.inf)
-        # Stored as floats, so that equal grids give equal points and equal bytes.
-        object.__setattr__(self, "omega_min", lo)
-        object.__setattr__(self, "omega_max", hi)
-        object.__setattr__(self, "points_per_decade", ppd)
         try:
-            samples = self._log_span()[2] + 1
+            samples = _log_span(lo, hi, ppd)[2] + 1
         except OverflowError:  # points_per_decade * decades is beyond a double
             samples = math.inf
         if samples > MAX_GRID_POINTS:
             raise ValueError(f"grid would have more than {MAX_GRID_POINTS} samples")
-
-    def _log_span(self) -> tuple[float, float, int]:
-        """log10 of both endpoints and the interval count between them."""
-        lg0 = math.log10(self.omega_min)
-        lg1 = math.log10(self.omega_max)
-        return lg0, lg1, max(1, round((lg1 - lg0) * self.points_per_decade))
+        # Stored as floats, so that equal grids give equal points and equal bytes.
+        Value.__init__(self, lo, hi, ppd)
 
     def points(self) -> list[float]:
         """round(d*p) + 1 (at least 2) log-spaced samples over d decades at p per decade,
         endpoints exact, non-decreasing: on a grid narrower than the rounding of log10
         omega they may repeat, and an interior one that rounds past an endpoint is clamped."""
         lo, hi = self.omega_min, self.omega_max
-        lg0, lg1, intervals = self._log_span()
+        lg0, lg1, intervals = _log_span(lo, hi, self.points_per_decade)
         span, out = lg1 - lg0, [lo]
         for i in range(1, intervals):
             w = 10.0 ** (lg0 + span * i / intervals)

@@ -22,8 +22,7 @@ class PolarForm(Value):
     def __init__(self, r: float, phi: float) -> None:
         r = real(r, "modulus must be finite and >= 0", 0.0)
         phi = real(phi, "angle must lie in (-pi, pi]", math.nextafter(-math.pi, 0.0), math.pi)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
+        Value.__init__(self, r, phi)
 
 
 def to_polar(s: Complex) -> PolarForm:

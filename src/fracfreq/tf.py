@@ -52,9 +52,7 @@ class FracTerm(Value):
 
     def __init__(self, coeff: float, exponent: float) -> None:
         coeff = real(coeff, "coefficient must be finite")
-        exponent = real(exponent, "exponent must be finite and >= 0", 0.0)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "exponent", exponent)
+        Value.__init__(self, coeff, real(exponent, "exponent must be finite and >= 0", 0.0))
 
 
 _ZERO_TERM = FracTerm(0.0, 0.0)
@@ -79,7 +77,7 @@ class FracPoly(Value):
                 )
         if any(t.coeff == 0.0 for t in terms) and terms != (_ZERO_TERM,):
             raise ValueError("zero-coefficient terms must be dropped at normalization")
-        object.__setattr__(self, "terms", terms)
+        Value.__init__(self, terms)
 
     @classmethod
     def from_terms(cls, terms) -> "FracPoly":
@@ -139,8 +137,7 @@ class FracTF(Value):
                 raise ValueError(f"{name} must be a FracPoly, got {type(poly).__name__}")
         if denominator.is_zero():
             raise ValueError("denominator polynomial is zero")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        Value.__init__(self, numerator, denominator)
 
     def __str__(self) -> str:
         return pretty_print(self)

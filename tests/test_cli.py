@@ -43,6 +43,15 @@ class TestMain:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 81
 
+    def test_grid_flag_defaults_are_the_default_grid(self):
+        args = build_parser().parse_args(["--tf", "s"])
+        grid = FrequencyGrid()
+        assert (args.wmin, args.wmax, args.ppd) == (
+            grid.omega_min,
+            grid.omega_max,
+            grid.points_per_decade,
+        )
+
     def test_grid_flags(self, capsysbinary):
         code, out, _ = run_main(
             ["--tf", "10000/s^0.5", "--wmin", "1", "--wmax", "100", "--ppd", "1"],

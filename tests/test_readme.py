@@ -1,4 +1,4 @@
-"""The README's command-line example is the CLI's output, byte for byte."""
+"""The README's command-line and library examples are the CLI's output, byte for byte."""
 
 import re
 import shlex
@@ -18,7 +18,20 @@ def cli_example() -> tuple[list[str], bytes]:
     raise AssertionError("README has no fenced fracfreq command")
 
 
+def library_example() -> str:
+    """The source of the README's one fenced python block."""
+    (source,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+    return source
+
+
 def test_cli_example_matches_output(capsysbinary):
     argv, expected = cli_example()
     assert main(argv) == EXIT_OK
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_library_example_prints_the_cli_output(capsysbinary):
+    assert main(["--tf", "(3*s^0.5+2)/(s^1.2+4*s^0.7+1)"]) == EXIT_OK
+    expected = capsysbinary.readouterr().out
+    exec(compile(library_example(), str(README), "exec"), {})
     assert capsysbinary.readouterr().out == expected
