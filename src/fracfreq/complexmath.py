@@ -4,11 +4,12 @@ The built-in ``complex`` type happily carries infinities and NaNs and
 returns -pi for arguments on the lower edge of the branch cut.  This
 module pins down the semantics the rest of the library depends on:
 every value is finite by construction, and the principal argument lies
-in the half-open interval (-pi, pi].  It also holds ``j_pow``, the unit
-value j**e on the builtin ``complex``, reduced to the nearest quarter
-turn, that both the transfer-function evaluator and the closed forms use.
+in the half-open interval (-pi, pi].  It also holds ``j_pow``: j**e as a
+builtin ``complex``, reduced to the nearest quarter turn and computed once
+per distinct e per process, for the evaluator and the closed forms.
 """
 
+import functools
 import math
 
 from ._value import Value, real
@@ -71,15 +72,17 @@ def argument(s: Complex) -> float:
 
 # j**k for k = 0..3, exact: cos(pi) is -1 and sin(pi) is 0, not 1.2e-16.
 _QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+_J_POW_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=_J_POW_CACHE_SIZE)
 def j_pow(e: float) -> complex:
-    """j**e = exp(j*e*pi/2) = cos(e*pi/2) + j*sin(e*pi/2).
-
+    """j**e = exp(j*e*pi/2) = cos(e*pi/2) + j*sin(e*pi/2), a pure function of
+    e kept per process for the 256 most recently used e (_J_POW_CACHE_SIZE);
+    keys that compare equal (0.0 and -0.0, 2 and 2.0) give the same bits.
     turns = fmod(e, 4), its nearest integer k and r = turns - k are exact
     (Sterbenz), so j**k * (cos(r*pi/2) + j*sin(r*pi/2)) rounds only the
-    angle r*pi/2: an integer e gives the exact quarter turn.
-    """
+    angle r*pi/2: an integer e gives the exact quarter turn."""
     turns = math.fmod(e, 4.0)
     k = round(turns)
     half = (turns - k) * math.pi / 2.0

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracfreq import Complex, FracPoly, FracTerm, add, argument, div, magnitude, mul
+from fracfreq import complexmath
 from fracfreq.complexmath import j_pow
 from helpers import angles_close, close, complex_close, decimal_poly
 
@@ -181,3 +182,48 @@ class TestJPow:
         slack = Decimal(math.ulp(0.0)) + Decimal("1e-50")
         for got, want in ((z.real, want_re), (z.imag, want_im)):
             assert abs(Decimal(got) - want) <= 4 * Decimal(2) ** -53 * abs(want) + slack
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.fixture
+def cold_j_pow():
+    """j_pow with its cache emptied before and after the test, so no test sees another's entries."""
+    j_pow.cache_clear()
+    yield j_pow
+    j_pow.cache_clear()
+
+
+class TestJPowMemo:
+    """j_pow keeps the phasor of each distinct exponent; a kept value must have
+    the bits that computing it afresh gives."""
+
+    @example(-0.0)
+    @example(5e-324)
+    @example(2)
+    @example(2.0)
+    @example(1e300)
+    @example(math.nextafter(4.0, 0.0))
+    @example(math.nextafter(4.0, 5.0))
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    def test_cached_equals_computed_bit_for_bit(self, e):
+        # The cache is emptied in the body: a fixture runs once for all examples.
+        want = bits(j_pow.__wrapped__(e))
+        j_pow.cache_clear()
+        assert bits(j_pow(e)) == want  # cold
+        assert bits(j_pow(e)) == want  # warm
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0), (2, 2.0), (2.0, 2)])
+    def test_equal_keys_give_identical_bits_in_either_order(self, cold_j_pow, first, second):
+        # -0.0 and 0.0 share one entry, so the second call returns what the first stored.
+        a, b = cold_j_pow(first), cold_j_pow(second)
+        assert bits(a) == bits(b) == bits(j_pow.__wrapped__(first)) == bits(j_pow.__wrapped__(second))
+
+    def test_cache_is_bounded(self, cold_j_pow):
+        size = complexmath._J_POW_CACHE_SIZE
+        assert cold_j_pow.cache_info().maxsize == size
+        for k in range(size + 100):
+            cold_j_pow(k / 8.0)
+        assert cold_j_pow.cache_info().currsize <= size

@@ -210,6 +210,26 @@ class TestSweep:
         for lo, hi in zip(pts, pts[1:]):
             assert close(hi.mag_db - lo.mag_db, 20.0 * alpha, rel=0.0, abs_tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # (-2/2 * w**2) * (2 * j**2) has imaginary part -0.0; the column's
+            # 0j start makes it +0.0, so the phase is 0.0, not -0.0.
+            "-2*s^2",
+            "(3*s^0.5+2)/(s^1.2+4*s^0.7+1)",
+            # N and D share the exponent 0.5, so D's column reuses N's phasor.
+            "(s^0.5+1)/(2*s^1.5+s^0.5+3)",
+            # Exponents next to a quarter turn, where only r*pi/2 is rounded.
+            "s^2.00000001/(s^3.999999999999999+1)",
+        ],
+    )
+    def test_emit_bytes_equal_with_cold_and_warm_phasor_cache(self, text):
+        tf, grid = parse_tf(text), FrequencyGrid(0.01, 100.0, 5)
+        j_pow.cache_clear()
+        cold = [emit(sweep(tf, grid), f) for f in ("csv", "json")]
+        warm = [emit(sweep(tf, grid), f) for f in ("csv", "json")]
+        assert cold == warm
+
 
 polys = st.lists(
     st.tuples(
