@@ -6,12 +6,12 @@ strictly fractional exponent:
 * single power   (j*w)**a           -> w**a * [cos(a*pi/2) + j*sin(a*pi/2)]
 * affine power   a*(j*w)**a + b     -> (b + a*w**a*cos(a*pi/2)) + j*a*w**a*sin(a*pi/2)
 
-Every function here is a direct trigonometric formula built on
-``complexmath.j_pow``, the one place the unit value j**e =
-exp(j*e*pi/2) is computed; the transfer-function evaluator uses it
-too, and so loads without this module.  The test suite
-keeps them honest against roots.principal_pow, which computes the same
-quantities from the polar decomposition.
+Each function is a direct trigonometric formula.  jomega_pow_mag and
+jomega_pow_arg are omega**alpha and alpha*pi/2 themselves; the others
+take the unit value j**e = exp(j*e*pi/2) from ``complexmath.j_pow``,
+which the transfer-function evaluator shares, so that loads without this
+module.  The test suite keeps them honest against roots.principal_pow,
+which computes the same quantities from the polar decomposition.
 """
 
 import math

@@ -82,7 +82,8 @@ def j_pow(e: float) -> complex:
     keys that compare equal (0.0 and -0.0, 2 and 2.0) give the same bits.
     turns = fmod(e, 4), its nearest integer k and r = turns - k are exact
     (Sterbenz), so j**k * (cos(r*pi/2) + j*sin(r*pi/2)) rounds only the
-    angle r*pi/2: an integer e gives the exact quarter turn."""
+    angle r*pi/2: an integer e gives the exact quarter turn, and two
+    exponents exactly 2 apart give exact negatives."""
     turns = math.fmod(e, 4.0)
     k = round(turns)
     half = (turns - k) * math.pi / 2.0

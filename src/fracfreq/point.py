@@ -55,12 +55,8 @@ def response_at(tf: FracTF, omega: float) -> ResponsePoint:
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
-    """One ResponsePoint per grid frequency, ascending omega.
-
-    Any evaluation fault (vanishing denominator or overflow) raises
-    tf.EvaluationError with the offending frequency; no point is
-    silently skipped.
-    """
+    """One ResponsePoint per grid frequency, ascending omega; tf.EvaluationError
+    with the first bad frequency, so no point is silently skipped."""
     return ResponsePoint._of_rows(rows(tf, grid.points()))
 
 

@@ -279,10 +279,12 @@ def pretty_print(tf: FracTF) -> str:
 def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
     gains (c * omega**e) * j**e, Table I's magnitude times phasor, one
-    term at a time; for |c| > 1, (c/2 * omega**e) * (2 * j**e): exact
-    scalings, so c/2 * omega**e overflows only where the term does.  An
-    omega**e that overflows makes its omega's sum infinite and the column
-    is redone one omega at a time, so no other omega's value changes."""
+    term at a time.  c * omega**e comes first, so a subnormal c is scaled
+    to its term's size before j**e joins it.  For |c| > 1 the term is
+    (c/2 * omega**e) * (2 * j**e): exact scalings, so c/2 * omega**e
+    overflows only where the term does.  An omega**e that overflows makes
+    its omega's sum infinite and the column is redone one omega at a
+    time, so no other omega's value changes."""
     acc = [0j] * len(omegas)
     try:
         for t in p.terms:
