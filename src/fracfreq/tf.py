@@ -300,7 +300,9 @@ def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
 
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
-    """Value of the polynomial at s = j*omega: eval_tf of p/1, the same value and errors."""
+    """Value of the polynomial at s = j*omega: eval_tf of p/1, its value and EvaluationErrors."""
+    if type(p) is not FracPoly:  # FracTF's own check would name the numerator
+        raise ValueError(f"p must be a FracPoly, got {type(p).__name__}")
     return eval_tf(FracTF(p, _ONE), omega)
 
 

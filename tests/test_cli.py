@@ -8,7 +8,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracfreq import (
@@ -21,11 +21,30 @@ from fracfreq import (
     parse_tf,
     sweep,
 )
-from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, build_parser, main
+from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main, read_args
 from helpers import child_env, close
 
 NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 BAD_FD = f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
+# What argparse printed at 80 columns when the CLI was built on it.
+USAGE = """\
+usage: fracfreq [-h] --tf EXPR [--wmin WMIN] [--wmax WMAX] [--ppd PPD]
+                [--format {csv,json}] [--out PATH]
+"""
+HELP = USAGE + """
+Evaluate a fractional-order transfer function over a logarithmic frequency
+grid and emit Bode data.
+
+options:
+  -h, --help           show this help message and exit
+  --tf EXPR            transfer function, e.g. '10000/s^0.5' or
+                       '(3*s^0.5+2)/(s^1.2+1)'
+  --wmin WMIN          lowest angular frequency [rad/s]
+  --wmax WMAX          highest angular frequency [rad/s]
+  --ppd PPD            points per decade
+  --format {csv,json}  output format
+  --out PATH           output file (default: stdout)
+"""
 
 
 def run_main(argv, capsysbinary):
@@ -44,9 +63,9 @@ class TestMain:
         assert len(lines) == 1 + 81
 
     def test_grid_flag_defaults_are_the_default_grid(self):
-        args = build_parser().parse_args(["--tf", "s"])
+        args = read_args(["--tf", "s"])
         grid = FrequencyGrid()
-        assert (args.wmin, args.wmax, args.ppd) == (
+        assert (args["wmin"], args["wmax"], args["ppd"]) == (
             grid.omega_min,
             grid.omega_max,
             grid.points_per_decade,
@@ -81,9 +100,7 @@ class TestMain:
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out_exits_2(self, where, tmp_path, capsysbinary):
         target = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--tf", "s", "--out", str(target)])
-        assert excinfo.value.code == 2
+        assert main(["--tf", "s", "--out", str(target)]) == EXIT_PARSE_ERROR
         captured = capsysbinary.readouterr()
         assert captured.out == b""
         err = captured.err.decode()
@@ -136,9 +153,7 @@ class TestMain:
         assert out.startswith(CSV_HEADER.encode())
 
     def test_grid_above_sample_cap_exits_2(self, capsysbinary):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--tf", "s", "--ppd", "1000000000"])
-        assert excinfo.value.code == 2
+        assert main(["--tf", "s", "--ppd", "1000000000"]) == EXIT_PARSE_ERROR
         assert "more than 1000000 samples" in capsysbinary.readouterr().err.decode()
 
     def test_eval_error_exit_and_omega(self, capsysbinary):
@@ -214,9 +229,66 @@ class TestMain:
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsysbinary):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
+        code, out, err = run_main(argv, capsysbinary)
+        assert (code, out) == (EXIT_PARSE_ERROR, b"")
+        assert err.startswith(USAGE + "fracfreq: error: ")
+
+    # The error lines of argparse 3.11, whose wording later versions changed.
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            ([], "the following arguments are required: --tf"),
+            (
+                ["--tf", "s", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+            ),
+            (["--tf", "s", "--ppd", "x"], "argument --ppd: invalid int value: 'x'"),
+            (["--tf", "s", "--wmin=1e"], "argument --wmin: invalid float value: '1e'"),
+            (["--tf", "-s+1"], "argument --tf: expected one argument"),
+            (["--tf", "s", "x", "--bogus"], "unrecognized arguments: x --bogus"),
+            (["--tf", "s", "--w", "1"], "ambiguous option: --w could match --wmin, --wmax"),
+            (["-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+            (["--tf", "s", "--wmin", "-1"], "omega_min must be finite and > 0, got -1.0"),
+        ],
+        ids=[
+            "required", "choice", "int", "float", "expected-one",
+            "unrecognized", "ambiguous", "help-value", "grid",
+        ],
+    )
+    def test_usage_error_line(self, argv, line, capsysbinary):
+        expected = (EXIT_PARSE_ERROR, b"", f"{USAGE}fracfreq: error: {line}\n")
+        assert run_main(argv, capsysbinary) == expected
+
+    # Help goes to standard output, not to --out, and wins over errors that
+    # argparse finds only after it: a missing --tf and unrecognized words.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"], ["-h"], ["--he"], ["-hh"],
+            ["--tf", "s", "--out", "x.csv", "-h"], ["-h", "x"], ["-h", "--ppd", "x"],
+        ],
+    )
+    def test_help(self, argv, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.chdir(tmp_path)
+        assert run_main(argv, capsysbinary) == (EXIT_OK, HELP.encode(), "")
+        assert list(tmp_path.iterdir()) == []
+
+    # "--" ends the options: it and every word after it are unrecognized, as
+    # the CLI takes no positional arguments, and it is no option's value.
+    # test_option_given_double_dash_exits_2 pins "--opt=--".
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["--tf", "s", "--"], "unrecognized arguments: --"),
+            (["--tf", "s", "x", "--", "--ppd", "1"], "unrecognized arguments: x -- --ppd 1"),
+            (["--", "--tf", "s"], "the following arguments are required: --tf"),
+            (["--tf", "--", "s"], "argument --tf: expected one argument"),
+            (["--tf", "s", "--out", "--", "--format=json"], "argument --out: expected one argument"),
+        ],
+    )
+    def test_double_dash(self, argv, line, capsysbinary):
+        expected = (EXIT_PARSE_ERROR, b"", f"{USAGE}fracfreq: error: {line}\n")
+        assert run_main(argv, capsysbinary) == expected
 
 
 # Literals include ones that overflow or underflow a double.
@@ -247,19 +319,10 @@ bounds = st.floats(min_value=1e-300, max_value=1e300)
 
 
 def run_in_process(argv):
-    """main(argv) with stdout and stderr captured: (exit code, stdout bytes, stderr text).
-
-    In process, a usage error is SystemExit(2) from argparse, not a return
-    value (``--tf=--`` is one); it counts as exit 2.
-    """
+    """main(argv) with stdout and stderr captured: (exit code, stdout bytes, stderr text)."""
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            if exc.code != EXIT_PARSE_ERROR:
-                raise
-            code = exc.code
+        code = main(argv)
     return code, out.buffer.getvalue(), err.getvalue()
 
 
@@ -277,10 +340,11 @@ class TestExitContract:
         assert (out != b"") == (code == EXIT_OK)
 
 
-# Values that argparse, the parser and the grid each treat specially.
+# Values that the option reader, the parser and the grid each treat specially.
 EDGE_VALUES = [
-    "--", "-", "", "-s+1", "1.7976931348623157e308", "-1.7976931348623157e308", "5e-324",
-    "2.2250738585072014e-308", "1e309", "inf", "nan", "9" * 400, str(2**1024), "\udcff", "s\udc80",
+    "--", "-", "", "-s+1", "-s + 1", "-1", "-.5", "1.7976931348623157e308", "-1.7976931348623157e308",
+    "5e-324", "2.2250738585072014e-308", "1e309", "inf", "nan", "9" * 400, str(2**1024), "\udcff",
+    "s\udc80",
 ]
 # Ordinary values of each option, so that some command lines get to exit 0 or 3.
 OPTION_VALUES = {
@@ -293,15 +357,62 @@ OPTION_VALUES = {
 }
 
 
+# Abbreviations: two that name one option, and one that is ambiguous.
+ABBREVIATIONS = {"--fo": "--format", "--pp": "--ppd", "--w": "--wmin"}
+
+
 @st.composite
 def argvs(draw):
-    """Command lines of the six options, each value attached with "=" or given separately."""
+    """Command lines of the six options, some abbreviated, and -h.
+
+    Each value is attached with "=" or given separately.
+    """
     argv = []
     for _ in range(draw(st.integers(0, 7))):
-        option = draw(st.sampled_from(list(OPTION_VALUES)))
-        value = draw(st.sampled_from(OPTION_VALUES[option]) | st.sampled_from(EDGE_VALUES))
+        option = draw(st.sampled_from([*OPTION_VALUES, *ABBREVIATIONS, "-h"]))
+        if option == "-h":
+            argv.append(option)
+            continue
+        values = OPTION_VALUES[ABBREVIATIONS.get(option, option)]
+        value = draw(st.sampled_from(values) | st.sampled_from(EDGE_VALUES))
         argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
     return argv
+
+
+def parse_with_argparse(argv):
+    """The parser the CLI built with argparse before read_args, run on argv.
+
+    Returns its six values, or its exit code (0 for help, 2 for a usage
+    error), with what it wrote to stdout and stderr at 80 columns.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="fracfreq",
+        description="Evaluate a fractional-order transfer function over a "
+        "logarithmic frequency grid and emit Bode data.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
+    parser.add_argument(
+        "--tf",
+        required=True,
+        metavar="EXPR",
+        help="transfer function, e.g. '10000/s^0.5' or '(3*s^0.5+2)/(s^1.2+1)'",
+    )
+    parser.add_argument("--wmin", type=float, help="lowest angular frequency [rad/s]")
+    parser.add_argument("--wmax", type=float, help="highest angular frequency [rad/s]")
+    parser.add_argument("--ppd", type=int, help="points per decade")
+    parser.add_argument("--format", choices=FORMATS, default="csv", help="output format")
+    parser.add_argument("--out", metavar="PATH", default=None, help="output file (default: stdout)")
+    grid = FrequencyGrid()
+    parser.set_defaults(wmin=grid.omega_min, wmax=grid.omega_max, ppd=grid.points_per_decade)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def read_bode(data: bytes, fmt: str) -> list[list[float]]:
@@ -331,15 +442,37 @@ class TestArgvFuzz:
                 if code != EXIT_OK:
                     assert out == b""
                     return
-                args = build_parser().parse_args(argv)
-                if args.out is not None:
+                args = read_args(argv)
+                if args is None:
+                    assert out == HELP.encode()
+                    return
+                if args["out"] is not None:
                     assert out == b""
-                    with open(args.out, "rb") as written:
+                    with open(args["out"], "rb") as written:
                         out = written.read()
             finally:
                 os.chdir(cwd)
-        rows = read_bode(out, args.format)
+        rows = read_bode(out, args["format"])
         assert rows and [r[0] for r in rows] == sorted(r[0] for r in rows)
+
+    # The reader follows 3.11's argparse, and 3.10's agrees with it; 3.13's
+    # reads -hx as help, and later ones may change more.
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the oracle is argparse 3.10-3.11")
+    @settings(deadline=None)
+    @given(argvs())
+    @example(["--fo", "json", "--tf=s", "--pp=3"])
+    @example(["--tf", "s", "--w=1"])
+    @example(["--tf", "-.5", "--wmin", "-1"])
+    @example(["-h", "--tf"])
+    def test_reader_agrees_with_argparse(self, argv):
+        # argparse's handling of "--" differs between versions; test_double_dash pins the reader's.
+        assume(not any(word == "--" or word.endswith("=--") for word in argv))
+        expected, out, err = parse_with_argparse(argv)
+        if isinstance(expected, dict):
+            # by repr, so that a nan equals a nan and 1.0 differs from 1
+            assert repr(sorted(read_args(argv).items())) == repr(sorted(expected.items()))
+        else:
+            assert run_in_process(argv) == (expected, out.encode(), err)
 
 
 class TestRowPath:
@@ -383,6 +516,9 @@ class TestEntryPoint:
         # may come back unnoticed.  Only modules the import adds count, since
         # site may already have loaded some of them.
         forbidden = {
+            "argparse",
+            "gettext",
+            "locale",
             "json",
             "dataclasses",
             "inspect",
@@ -441,8 +577,8 @@ class TestEntryPoint:
         assert result.returncode == 2
         assert result.stderr.decode() == f"fracfreq: error: cannot write output: {BAD_FD}\n"
 
-    # Python 3.11's argparse stores [] for an attached "--opt=--"; a later
-    # one may store "--", which is then an expression, a format or a path.
+    # An attached "--" is taken verbatim, on every Python: an expression
+    # that does not parse, a format that is no choice, or a file named "--".
     @pytest.mark.parametrize(
         "argv,name",
         [(["--tf=--"], "tf"), (["--tf", "s", "--format=--"], "format"), (["--tf", "s", "--out=--"], "out")],
@@ -456,13 +592,17 @@ class TestEntryPoint:
             env=child_env(),
             cwd=tmp_path,
         )
-        if type(getattr(build_parser().parse_args(argv), name)) is str:
-            assert result.returncode == (0 if name == "out" else 2)
+        if name == "out":  # the one that exits 0
+            assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+            assert (tmp_path / "--").read_bytes() == emit(sweep(parse_tf("s"), FrequencyGrid()), "csv")
             return
         assert (result.returncode, result.stdout) == (2, b"")
         err = result.stderr.decode()
-        assert err.endswith(f"fracfreq: error: argument --{name}: expected one argument\n")
-        assert "Traceback" not in err
+        if name == "tf":
+            assert err == "fracfreq: error: expected number or 's', found '-' (offset 1)\n"
+        else:
+            line = "argument --format: invalid choice: '--' (choose from 'csv', 'json')"
+            assert err == f"{USAGE}fracfreq: error: {line}\n"
         assert list(tmp_path.iterdir()) == []
 
     # With file descriptor 2 closed, the error line is lost but not the exit code.

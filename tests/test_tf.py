@@ -371,8 +371,10 @@ class TestEvalPolyIsEvalTF:
         assert _outcome(eval_poly, p, omega) == _outcome(eval_tf, over_one, omega)
 
     def test_not_a_polynomial_is_value_error(self):
-        with pytest.raises(ValueError, match="^numerator must be a FracPoly, got str$"):
-            eval_poly("s", 1.0)
+        # The message names eval_poly's own argument, not FracTF's numerator.
+        for p, kind in (("s", "str"), (1, "int")):
+            with pytest.raises(ValueError, match=f"^p must be a FracPoly, got {kind}$"):
+                eval_poly(p, 1.0)
 
 
 class TestEvalTF:
