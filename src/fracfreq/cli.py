@@ -3,14 +3,11 @@
 Exit codes: 0 success, 2 expression parse error or usage error (an --out
 or a standard output that cannot be written included), 3 evaluation error.
 
-read_args reads the six options by Python 3.11 argparse's rules, without
-importing argparse, gettext or locale (~7 ms of every run): a name may be
-a unique prefix; a value is attached with "=" and taken verbatim, or is
-the next word, which may start with "-" only when it is "-", a negative
-decimal number or holds a space; "--" ends the options, and as the CLI
-takes no positional arguments, it and every word after it are
-unrecognized.  Errors carry argparse's 3.11 wording after its 80-column
-usage.
+read_args reads the six options by the README's rules, which are Python
+3.11 argparse's, without importing argparse, gettext or locale (~7 ms of
+every run).  Errors carry argparse's 3.11 wording after its 80-column
+usage; tests/test_cli.py's test_reader_agrees_with_argparse pins that
+parity against argparse itself.
 """
 
 import os

@@ -4,9 +4,9 @@ The built-in ``complex`` type happily carries infinities and NaNs and
 returns -pi for arguments on the lower edge of the branch cut.  This
 module pins down the semantics the rest of the library depends on:
 every value is finite by construction, and the principal argument lies
-in the half-open interval (-pi, pi].  It also holds ``j_pow``: j**e as a
-builtin ``complex``, reduced to the nearest quarter turn and computed once
-per distinct e per process, for the evaluator and the closed forms.
+in the half-open interval (-pi, pi].  It also holds ``j_pow``, for the
+evaluator and the closed forms: j**e as a builtin ``complex``, reduced to
+the nearest quarter turn and kept per process for the 256 most recently used e.
 """
 
 import functools

@@ -59,24 +59,17 @@ _ZERO_TERM = FracTerm(0.0, 0.0)
 
 
 class FracPoly(Value):
-    """Normalized sum of terms, exponents strictly decreasing, never empty."""
+    """Sum of terms in the normal form that from_terms builds; never empty."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[FracTerm, ...]) -> None:
         terms = tuple(terms)
-        if not terms:
-            raise ValueError("a polynomial needs at least one term")
-        for k, t in enumerate(terms):
-            if type(t) is not FracTerm:
-                raise ValueError(f"terms must be FracTerm, got {type(t).__name__}")
-            if k and not terms[k - 1].exponent > t.exponent:
-                raise ValueError(
-                    "term exponents must be strictly decreasing, got "
-                    f"{terms[k - 1].exponent!r} before {t.exponent!r}"
-                )
-        if any(t.coeff == 0.0 for t in terms) and terms != (_ZERO_TERM,):
-            raise ValueError("zero-coefficient terms must be dropped at normalization")
+        if terms != self.from_terms(terms).terms:
+            raise ValueError(
+                "terms must be one nonzero term per exponent, exponents strictly decreasing,"
+                f" got {[(t.coeff, t.exponent) for t in terms]}"
+            )
         Value.__init__(self, terms)
 
     @classmethod
@@ -94,7 +87,7 @@ class FracPoly(Value):
         """from_terms's drop/sort tail on exponent -> sum; ValueError on a sum beyond a double.
 
         Built unchecked: the sums are of checked terms, so only a sum can
-        overflow, and distinct keys sort strictly, as __init__ requires."""
+        overflow; what it builds is the normal form that __init__ checks for."""
         kept = []
         for e in sorted(merged, reverse=True):
             if c := merged[e]:

@@ -1,6 +1,7 @@
 """The README's command-line and library examples are the CLI's output, byte for byte,
 its example table is what the library returns, and it names every public name."""
 
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -27,10 +28,17 @@ def cli_example() -> tuple[list[str], bytes]:
     raise AssertionError("README has no fenced fracfreq command")
 
 
-def inline_code() -> list[str]:
-    """The text of every `...` span outside the fenced blocks."""
-    prose = re.sub(r"^```.*?^```$", "", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+def inline_code(text: str | None = None) -> list[str]:
+    """The text of every `...` span outside the fenced blocks of text, by default the README."""
+    text = README.read_text() if text is None else text
+    prose = re.sub(r"^```.*?^```$", "", text, flags=re.MULTILINE | re.DOTALL)
     return re.findall(r"`([^`\n]+)`", prose)
+
+
+def section(title: str) -> str:
+    """The README's "## title" section, up to the next "## " heading."""
+    (body,) = re.findall(rf"^## {title}\n(.*?)(?=^## |\Z)", README.read_text(), re.MULTILINE | re.DOTALL)
+    return body
 
 
 def example_rows() -> list[tuple[str, str]]:
@@ -67,6 +75,14 @@ def test_no_private_name_is_backticked():
     names = {n for s in inline_code() for n in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", s)}
     private = [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
     assert private == []
+
+
+def test_library_section_names_no_submodule_attribute():
+    """The Library section promises the package's names, not a submodule's."""
+    submodules = "|".join(m.name for m in pkgutil.iter_modules(fracfreq.__path__))
+    spans = inline_code(section("Library"))
+    assert spans
+    assert [s for s in spans if re.search(rf"\b(?:{submodules})\.\w", s)] == []
 
 
 def test_grammar_is_the_tf_docstring_grammar():

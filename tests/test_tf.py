@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 from decimal import Decimal, localcontext
 
@@ -169,22 +170,64 @@ class TestParseErrors:
             FracTF(FracPoly.constant(1.0), FracPoly.from_terms([FracTerm(0, 0)]))
 
 
+def not_normal(got: str) -> str:
+    """The match pattern of FracPoly's one message for terms not in normal form."""
+    rule = "terms must be one nonzero term per exponent, exponents strictly decreasing"
+    return f"^{re.escape(f'{rule}, got {got}')}$"
+
+
+# Terms from small pools, so that repeated exponents and zero coefficients
+# are common, drawn in any order, sorted by decreasing exponent, or with
+# nonzero coefficients and distinct exponents, sorted: the normal form.
+COEFFS = [0.0, -0.0, 1.0, -2.5, 1e308]
+EXPONENTS = [0.0, -0.0, 0.5, 1.2, 3.0]
+
+
+def by_decreasing_exponent(terms):
+    return sorted(terms, key=lambda t: -t.exponent)
+
+
+pool_terms = st.lists(
+    st.builds(FracTerm, st.sampled_from(COEFFS), st.sampled_from(EXPONENTS)), max_size=5
+)
+normal_terms = st.lists(
+    st.builds(FracTerm, st.sampled_from([c for c in COEFFS if c]), st.sampled_from(EXPONENTS)),
+    max_size=5,
+    unique_by=lambda t: t.exponent,
+).map(by_decreasing_exponent)
+any_order_terms = st.one_of(pool_terms, pool_terms.map(by_decreasing_exponent), normal_terms)
+
+
 class TestNormalizationInvariants:
     def test_rejects_unsorted_terms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=not_normal("[(1.0, 0.5), (1.0, 1.2)]")):
             FracPoly((FracTerm(1, 0.5), FracTerm(1, 1.2)))
 
     def test_rejects_duplicate_exponents(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=not_normal("[(1.0, 0.5), (2.0, 0.5)]")):
             FracPoly((FracTerm(1, 0.5), FracTerm(2, 0.5)))
 
     def test_rejects_stray_zero_coefficient(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=not_normal("[(1.0, 1.0), (0.0, 0.5)]")):
             FracPoly((FracTerm(1, 1.0), FracTerm(0, 0.5)))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=not_normal("[]")):
             FracPoly(())
+
+    @given(any_order_terms)
+    def test_accepts_exactly_what_from_terms_builds(self, terms):
+        try:
+            normal = FracPoly.from_terms(terms).terms
+        except ValueError:  # merged coefficients overflow
+            normal = None
+        if tuple(terms) == normal:
+            poly = FracPoly(terms)
+            assert len(poly.terms) == len(terms)
+            assert all(a is b for a, b in zip(poly.terms, terms))
+        else:
+            with pytest.raises(ValueError):
+                FracPoly(terms)
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
@@ -311,8 +354,9 @@ class TestParseBuildsOnce:
 
     @pytest.mark.parametrize("c", [1e308, -1e308])
     def test_from_terms_rejects_merged_overflow(self, c):
-        with pytest.raises(ValueError, match=f"^coefficient must be finite, got {c * 2!r}$"):
-            FracPoly.from_terms([FracTerm(c, 1.0), FracTerm(c, 1.0)])
+        for build in (FracPoly.from_terms, FracPoly):  # FracPoly checks by building
+            with pytest.raises(ValueError, match=f"^coefficient must be finite, got {c * 2!r}$"):
+                build([FracTerm(c, 1.0), FracTerm(c, 1.0)])
 
 
 class TestEvalPoly:
