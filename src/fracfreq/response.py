@@ -83,7 +83,7 @@ def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, flo
 
 
 def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
-    """Serialize rows like rows's doubles; format is "csv" or "json".
+    """Serialize an iterable of rows like rows's doubles; format is "csv" or "json".
 
     CSV is the header line and one line per row, every value with 17
     significant digits, each line feed terminated.  JSON is an array of
@@ -95,7 +95,7 @@ def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
         return (CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, values))).encode("ascii")
     if format == "json":
         objects = ",\n".join(map(_JSON_OBJECT.__mod__, values)).replace("-inf", "-Infinity")
-        return (f"[\n{objects}\n]\n" if values else "[]\n").encode("ascii")
+        return (f"[\n{objects}\n]\n" if objects else "[]\n").encode("ascii")
     raise ValueError(f"unknown output format {format!r}, expected one of {FORMATS}")
 
 

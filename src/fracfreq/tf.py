@@ -268,20 +268,28 @@ def pretty_print(tf: FracTF) -> str:
 
 # --- evaluator -----------------------------------------------------------
 
+_SQRT_DBL_MIN = 2.0**-511
+
 
 def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
     gains (c * omega**e) * j**e, Table I's magnitude times phasor, one
-    term at a time.  c * omega**e comes first, so a subnormal c is scaled
-    to its term's size before j**e joins it.  For |c| > 1 the term is
-    (c/2 * omega**e) * (2 * j**e): exact scalings, so c/2 * omega**e
-    overflows only where the term does.  An omega**e that overflows makes
-    its omega's sum infinite and the column is redone one omega at a
-    time, so no other omega's value changes."""
+    term at a time.  For |c| > 1 the term is (c/2 * omega**e) * (2 * j**e):
+    exact scalings, so c/2 * omega**e overflows only where the term does.
+    c * omega**e is subnormal where omega**e < DBL_MIN / |c|, and j**e
+    would round it a second time.  For |c| below sqrt(DBL_MIN) = 2**-511
+    that bound is above 2**-511, and 2**52 for the least subnormal c, so
+    such a term is c * (omega**e * j**e), whose one rounding into the
+    subnormal range is the last; for any other c it is below 2**-511.  An omega**e that
+    overflows makes its omega's sum infinite and the column is redone one
+    omega at a time, so no other omega's value changes."""
     acc = [0j] * len(omegas)
     try:
         for t in p.terms:
             e, c, jj = t.exponent, t.coeff, j_pow(t.exponent)
+            if abs(c) < _SQRT_DBL_MIN:
+                acc = [a + c * (w**e * jj) for a, w in zip(acc, omegas)]
+                continue
             if abs(c) > 1.0:
                 c, jj = c * 0.5, jj + jj
             acc = [a + c * w**e * jj for a, w in zip(acc, omegas)]

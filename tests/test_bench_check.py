@@ -53,7 +53,7 @@ def test_library_output_passes_bench_check(case):
 @pytest.mark.parametrize("case", [CASES["dense-0"], CASES["many-0"]], ids=["dense-0", "many-0"])
 def test_corrupted_point_is_flagged(case):
     # The benchmark self-test's corrupted point: dataclasses.replace goes
-    # through ResponsePoint.__init__, and the checker must see the change.
+    # through ResponsePoint's checked __new__, and the checker must see the change.
     points = sweep(parse_tf(case.text), FrequencyGrid(case.wmin, case.wmax, case.ppd))
     p = points[3]
     for change in ({"mag_linear": p.mag_linear * (1 + 1e-9)}, {"phase_rad": p.phase_rad + 1e-9}):

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import json
 import math
 import pickle
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracfreq import (
     CSV_HEADER,
+    FORMATS,
     Complex,
     EvaluationError,
     FracPoly,
@@ -26,7 +29,7 @@ from fracfreq import (
     sweep,
 )
 from fracfreq.complexmath import j_pow
-from fracfreq.response import MAX_GRID_POINTS, rows
+from fracfreq.response import MAX_GRID_POINTS, emit_rows, rows
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
 
@@ -281,11 +284,15 @@ def kernel_columns(draw, exponents=kernel_exponents):
 
 def in_order_sum(p: FracPoly, omega: float) -> complex:
     """p at s = j*omega as the sum, in term order, of (c * omega**e) * j**e,
-    with c halved and j**e doubled where |c| > 1."""
+    with c halved and j**e doubled where |c| > 1, and of c * (omega**e * j**e)
+    where |c| < 2**-511."""
     acc = 0j
     try:
         for t in p.terms:
             c, jj = t.coeff, j_pow(t.exponent)
+            if abs(c) < 2.0**-511:
+                acc = acc + c * (omega**t.exponent * jj)
+                continue
             if abs(c) > 1.0:
                 c, jj = c * 0.5, complex(2.0 * jj.real, 2.0 * jj.imag)
             acc = acc + c * omega**t.exponent * jj
@@ -379,6 +386,8 @@ class TestColumnEvaluation:
     @example((parse_tf("s^400+3*s^2.5").numerator, [0.1, 6.309573444801933, 2.0]))
     # 1.5e308 * 2**0.5 overflows unless c is halved first.
     @example((parse_tf("1.5e308*s^0.5").numerator, [1.0, 2.0]))
+    # c * omega**e first would round into the subnormal range before j**e did.
+    @example((FracPoly.from_terms([FracTerm(2.225073858507e-311, 0.5)]), [0.00390625, 1.0]))
     def test_column_is_the_in_order_sum_bit_for_bit(self, column):
         p, omegas = column
         got = _poly_on(p, omegas)
@@ -428,7 +437,7 @@ class TestColumnEvaluation:
 
 def hexes(point: ResponsePoint) -> list[str]:
     """Each field's float.hex, so -0.0 differs from 0.0 and every bit counts."""
-    return [float.hex(v) for v in vars(point).values()]
+    return [float.hex(v) for v in tuple(point)]
 
 
 def tf_grid(text: str, *grid) -> tuple[FracPoly, FracPoly, FrequencyGrid]:
@@ -460,26 +469,27 @@ class TestRecordBuilder:
             checked = ResponsePoint(*row)
             assert type(record) is ResponsePoint
             assert hexes(record) == hexes(checked) == [float.hex(v) for v in row]
-            assert list(vars(record)) == list(vars(checked)) == CSV_HEADER.split(",")
+            assert [f.name for f in dataclasses.fields(record)] == CSV_HEADER.split(",")
+            assert tuple(record) == tuple(checked) == row
             assert record == checked
             assert hash(record) == hash(checked)
             assert repr(record) == repr(checked)
-            copy = pickle.loads(pickle.dumps(record))
-            assert copy == record
-            assert (hexes(copy), list(vars(copy))) == (hexes(record), list(vars(record)))
+            unpickled = pickle.loads(pickle.dumps(record))
+            assert unpickled == record
+            assert (type(unpickled), hexes(unpickled)) == (ResponsePoint, hexes(record))
             with pytest.raises(ValueError, match="^mag_linear must be finite, got nan$"):
                 dataclasses.replace(record, mag_linear=math.nan)
         assert hexes(response_at(tf, grid.omega_max)) == hexes(got[-1])
 
-    def test_sweep_of_1501_points_calls_no_init(self, monkeypatch):
+    def test_sweep_of_1501_points_calls_no_checked_new(self, monkeypatch):
         calls = []
-        checked_init = ResponsePoint.__init__
+        checked_new = ResponsePoint.__new__
 
-        def counted_init(self, *args):
+        def counted_new(cls, *args):
             calls.append(args)
-            checked_init(self, *args)
+            return checked_new(cls, *args)
 
-        monkeypatch.setattr(ResponsePoint, "__init__", counted_init)
+        monkeypatch.setattr(ResponsePoint, "__new__", counted_new)
         tf = parse_tf("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)")
         points = sweep(tf, FrequencyGrid(1e-2, 1e3, 300))
         assert len(points) == 1501
@@ -499,12 +509,66 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POINTS = st.builds(ResponsePoint, FINITE, FINITE, FINITE | st.just(-math.inf), FINITE, FINITE)
 
 
+# Each way of making a record from another; all go through the checked __new__.
+REBUILDS = {
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+if sys.version_info >= (3, 13):
+    REBUILDS["copy.replace"] = copy.replace
+
+
+class TestRecord:
+    """The record users see: a frozen dataclass that is also its row."""
+
+    @given(POINTS)
+    def test_record_is_its_row_but_equals_only_a_record(self, p):
+        row = tuple(getattr(p, name) for name in CSV_HEADER.split(","))
+        assert tuple(p) == row and p[2] == p.mag_db and len(p) == 5
+        assert p != row and row != p and not p == row and not row == p
+        assert p == ResponsePoint(*row) and not p != ResponsePoint(*row)
+        assert hash(p) == hash(dataclasses.astuple(p)) == hash(row)
+        # Other objects still decide equality, as with any dataclass.
+        assert p == mock.ANY and not p != mock.ANY
+        assert not hasattr(p, "__dict__")
+
+    def test_assignment_raises_frozen_instance_error(self):
+        for name in ("omega", "phase_deg", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(IDENTITY_POINT, name, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del IDENTITY_POINT.omega
+        assert tuple(IDENTITY_POINT) == (1.0, 1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("rebuild", REBUILDS.values(), ids=list(REBUILDS))
+    def test_rebuilds_check_each_field(self, rebuild):
+        p = response_at(parse_tf("(s^0.5+1)/(2*s^1.5+3)"), 2.0)
+        q = rebuild(p)
+        assert type(q) is ResponsePoint
+        assert hexes(q) == hexes(p)
+        # A record holding NaN can only be made unchecked, as here.
+        bad = tuple.__new__(ResponsePoint, (1.0, math.nan, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^mag_linear must be finite, got nan$"):
+            rebuild(bad)
+
+
 class TestEmit:
     def test_empty_csv_is_header_only(self):
         assert emit([]) == (CSV_HEADER + "\n").encode()
 
     def test_empty_json(self):
         assert emit([], format="json") == b"[]\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_iterators_emit_as_lists(self, fmt):
+        pts = sweep(parse_tf("10000/s^0.5"), DECADE_GRID)
+        assert emit(iter(pts), fmt) == emit(pts, fmt)
+        assert emit(iter(()), fmt) == emit([], fmt)
+
+    def test_empty_iterator_of_rows_is_empty_json(self):
+        assert emit_rows(iter([]), "json") == b"[]\n"
 
     def test_identity_row(self):
         body = emit([IDENTITY_POINT]).decode()

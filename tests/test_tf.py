@@ -552,9 +552,12 @@ class TestKernelAgainstOracle:
         # 1e-12 relative to |sum|, scaled by the condition sum|terms| / |sum|.
         assert math.hypot(got.re - want.re, got.im - want.im) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("c,e,omega", [(5e-324, 5.5, 1e3), (2.2250738585e-313, 1.5, 3.0)])
+    @pytest.mark.parametrize(
+        "c,e,omega", [(5e-324, 5.5, 1e3), (2.2250738585e-313, 1.5, 3.0), (2.225073858507e-311, 0.5, 0.00390625)]
+    )
     def test_subnormal_coefficient_matches_polar_oracle(self, c, e, omega):
         # c*j**e formed first would be subnormal with a few bits, and omega**e would scale the loss up.
+        # c*omega**e formed first with omega**e < 1 would round into the subnormal range before j**e did.
         p = FracPoly.from_terms([FracTerm(c, e)])
         got = eval_poly(p, omega)
         want, scale = oracle_poly(p, omega)
