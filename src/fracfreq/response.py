@@ -5,7 +5,10 @@ configured values.  Output is deterministic: identical inputs produce
 byte-identical CSV and JSON.
 """
 
+import functools
 import math
+from _collections_abc import Iterable  # collections.abc's source, loaded even under -S
+from operator import add, itemgetter
 
 from ._value import TINY, Value, count, real
 from .tf import FracTF, _h_on
@@ -23,6 +26,27 @@ _CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e\n"
 # One JSON array element in json.dumps(indent=2)'s layout.  %s writes a
 # double as json.dumps does, but -inf as "-inf"; no key contains that.
 _JSON_OBJECT = "  {\n%s\n  }" % ",\n".join(f'    "{n}": %s' for n in CSV_HEADER.split(","))
+
+# A process keeps the points of its last _CACHED_GRIDS grids of at most
+# _CACHED_GRID_POINTS points (_kept_points), and the texts of its last
+# _CACHED_GRIDS such omega columns in a format (_kept_texts): under 5.5 MB as
+# tracemalloc counts it.  The worst case is 8 lists of 4096 doubles (1.05 MB)
+# and 8 columns of 4096 JSON omega texts of up to 41 characters, each keyed
+# by doubles of its own (4.2 MB).
+_CACHED_GRIDS = 8
+_CACHED_GRID_POINTS = 4096
+
+
+def _split(template: str) -> tuple[str, str]:
+    """A row template as its omega field and the rest, which starts at the comma after it."""
+    at = template.index(",", template.index("%"))
+    return template[:at], template[at:]
+
+
+# Each format's row template, split after its omega field.
+_TEMPLATES = {"csv": _split(_CSV_ROW), "json": _split(_JSON_OBJECT)}
+_OMEGA = itemgetter(0)
+_REST = itemgetter(slice(1, None))
 
 
 def _log_span(lo: float, hi: float, ppd: int) -> tuple[float, float, int]:
@@ -56,15 +80,30 @@ class FrequencyGrid(Value):
     def points(self) -> list[float]:
         """round(d*p) + 1 (at least 2) log-spaced samples over d decades at p per decade,
         endpoints exact, non-decreasing: on a grid narrower than the rounding of log10
-        omega they may repeat, and an interior one that rounds past an endpoint is clamped."""
-        lo, hi = self.omega_min, self.omega_max
-        lg0, lg1, intervals = _log_span(lo, hi, self.points_per_decade)
-        span, out = lg1 - lg0, [lo]
-        for i in range(1, intervals):
-            w = 10.0 ** (lg0 + span * i / intervals)
-            out.append(w if lo <= w <= hi else lo if w < lo else hi)
-        out.append(hi)
-        return out
+        omega they may repeat, and an interior one that rounds past an endpoint is clamped.
+
+        A new list per call.  The process keeps the points of its last
+        _CACHED_GRIDS grids of at most _CACHED_GRID_POINTS points, so a
+        repeated grid copies them instead of computing them again."""
+        lo, hi, ppd = self.omega_min, self.omega_max, self.points_per_decade
+        if _log_span(lo, hi, ppd)[2] + 1 <= _CACHED_GRID_POINTS:
+            return list(_kept_points(lo, hi, ppd))
+        return _points(lo, hi, ppd)
+
+
+def _points(lo: float, hi: float, ppd: int) -> list[float]:
+    """FrequencyGrid(lo, hi, ppd).points(), computed."""
+    lg0, lg1, intervals = _log_span(lo, hi, ppd)
+    span, out = lg1 - lg0, [lo]
+    for i in range(1, intervals):
+        w = 10.0 ** (lg0 + span * i / intervals)
+        out.append(w if lo <= w <= hi else lo if w < lo else hi)
+    out.append(hi)
+    return out
+
+
+# Its lists are never handed out: points() returns a copy.
+_kept_points = functools.lru_cache(maxsize=_CACHED_GRIDS)(_points)
 
 
 def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, float, float]]:
@@ -77,12 +116,13 @@ def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, flo
             continue
         # complexmath.argument's fold of -pi to pi, inline: no Python call per point.
         phase = math.atan2(h.imag, h.real)
-        phase = math.pi if phase == -math.pi else phase
+        # + 0.0 turns a -0.0 (an imaginary part of -0.0) into +0.0, and no other bit.
+        phase = (math.pi if phase == -math.pi else phase) + 0.0
         out.append((omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase)))
     return out
 
 
-def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
+def emit_rows(values: Iterable[tuple], format: str = "csv") -> bytes:
     """Serialize an iterable of rows like rows's doubles; format is "csv" or "json".
 
     CSV is the header line and one line per row, every value with 17
@@ -90,13 +130,44 @@ def emit_rows(values: list[tuple], format: str = "csv") -> bytes:
     objects keyed like the CSV columns, each number unquoted and the shortest
     repr that reads back to the same double, the -inf dB of a zero response
     as -Infinity: the bytes of json.dumps(..., indent=2) plus a line feed.
+
+    Each line is its omega's text and the rest of the row's template
+    applied to the other four values.  The omega texts of a column of at
+    most _CACHED_GRID_POINTS doubles, all > 0 (a grid's), are kept for the
+    last _CACHED_GRIDS columns, so a repeated grid formats four numbers per row.
     """
+    if format not in _TEMPLATES:
+        raise ValueError(f"unknown output format {format!r}, expected one of {FORMATS}")
+    head, rest = _TEMPLATES[format]
+    values = list(values)
+    column = tuple(map(_OMEGA, values))
+    lines = map(add, _omega_texts(column, head), map(rest.__mod__, map(_REST, values)))
     if format == "csv":
-        return (CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, values))).encode("ascii")
-    if format == "json":
-        objects = ",\n".join(map(_JSON_OBJECT.__mod__, values)).replace("-inf", "-Infinity")
-        return (f"[\n{objects}\n]\n" if objects else "[]\n").encode("ascii")
-    raise ValueError(f"unknown output format {format!r}, expected one of {FORMATS}")
+        return (CSV_HEADER + "\n" + "".join(lines)).encode("ascii")
+    objects = ",\n".join(lines).replace("-inf", "-Infinity")
+    return (f"[\n{objects}\n]\n" if objects else "[]\n").encode("ascii")
+
+
+@functools.lru_cache(maxsize=_CACHED_GRIDS)
+def _kept_texts(column: tuple, template: str) -> tuple[str, ...]:
+    """template applied to each value of column."""
+    return tuple(map(template.__mod__, column))
+
+
+def _omega_texts(column: tuple, template: str) -> Iterable[str]:
+    """template applied to each value of column: kept when the column holds
+    1 to _CACHED_GRID_POINTS floats, all > 0, else made one at a time.
+
+    The column's tuple is the key, and equal tuples print differently where
+    their values are equal but not alike: -0.0 and 0.0, or 1 and 1.0 under %s.
+    """
+    if (
+        0 < len(column) <= _CACHED_GRID_POINTS
+        and set(map(type, column)) == {float}
+        and min(column) > 0.0
+    ):
+        return _kept_texts(column, template)
+    return map(template.__mod__, column)
 
 
 def format_value(v: float) -> str:

@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import json
 import math
+import gc
 import pickle
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -29,6 +31,7 @@ from fracfreq import (
     sweep,
 )
 from fracfreq.complexmath import j_pow
+from fracfreq import response
 from fracfreq.response import MAX_GRID_POINTS, emit_rows, rows
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
@@ -451,7 +454,7 @@ class TestRecordBuilder:
 
     @settings(deadline=None)
     @given(polys, polys, small_grids)
-    # Phase -0.0 at omega = 10.
+    # atan2 gives -0.0 at omega = 10; both paths must turn it into +0.0.
     @example(*tf_grid("(s^2+1)/(s^2+2)", 0.1, 10.0, 1))
     # Zero responses: at omega = 1 only, and everywhere.
     @example(*tf_grid("s^4-1", 0.1, 10.0, 1))
@@ -554,6 +557,34 @@ class TestRecord:
             rebuild(bad)
 
 
+def oracle(points, fmt: str) -> bytes:
+    """emit's bytes by another route: format_value per CSV cell, json.dumps for JSON."""
+    points = [tuple(p) for p in points]
+    if fmt == "csv":
+        lines = [CSV_HEADER] + [",".join(map(format_value, p)) for p in points]
+        return "".join(line + "\n" for line in lines).encode("ascii")
+    objs = [dict(zip(CSV_HEADER.split(","), p)) for p in points]
+    return (json.dumps(objs, indent=2) + "\n").encode("ascii")
+
+
+@pytest.fixture
+def cold():
+    """Empty grid caches before and after the test."""
+    response._kept_points.cache_clear()
+    response._kept_texts.cache_clear()
+    yield
+    response._kept_points.cache_clear()
+    response._kept_texts.cache_clear()
+
+
+def grid_of(points: int, k: int = 0) -> FrequencyGrid:
+    """A one-decade grid of `points` points, starting k thousandths above 1."""
+    lo = 1.0 + k / 1000
+    grid = FrequencyGrid(lo, lo * 10.0, points - 1)
+    assert len(grid.points()) == points
+    return grid
+
+
 class TestEmit:
     def test_empty_csv_is_header_only(self):
         assert emit([]) == (CSV_HEADER + "\n").encode()
@@ -562,9 +593,10 @@ class TestEmit:
         assert emit([], format="json") == b"[]\n"
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_iterators_emit_as_lists(self, fmt):
+    def test_iterators_emit_as_lists(self, cold, fmt):
         pts = sweep(parse_tf("10000/s^0.5"), DECADE_GRID)
-        assert emit(iter(pts), fmt) == emit(pts, fmt)
+        # The first emit keeps the grid's omega texts, the second reads them.
+        assert emit(iter(pts), fmt) == emit(iter(pts), fmt) == emit(pts, fmt) == oracle(pts, fmt)
         assert emit(iter(()), fmt) == emit([], fmt)
 
     def test_empty_iterator_of_rows_is_empty_json(self):
@@ -631,3 +663,88 @@ class TestEmit:
         v = math.pi * 1e-3
         assert float(format_value(v)) == v
         assert len(format_value(v).split("e")[0].replace("-", "").replace(".", "")) == 17
+
+
+class TestGridCaches:
+    """A grid's points and omega texts are kept per process; no byte may depend on it."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_same_grid_twice_gives_the_oracle_bytes(self, cold, fmt):
+        tf, grid = parse_tf("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)"), FrequencyGrid()
+        first = emit(sweep(tf, grid), fmt)
+        second = emit(sweep(tf, grid), fmt)
+        assert first == second == oracle(sweep(tf, grid), fmt)
+        assert response._kept_texts.cache_info().hits >= 1
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_columns_equal_but_not_alike_are_not_confused(self, cold, fmt):
+        rest = (1.0, 0.0, 0.0, 0.0)
+        for omegas in [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (1.0, 2.0), (1.0, -0.0)]:
+            pts = [ResponsePoint(w, *rest) for w in omegas]
+            assert emit(pts, fmt) == oracle(pts, fmt)
+        # A raw row's int prints as an int under %s; 1 == 1.0 must not share texts.
+        emit_rows([(1.0, *rest)], fmt)
+        assert emit_rows([(1, *rest)], fmt) == oracle([(1, *rest)], fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_column_longer_than_the_cached_is_not_kept(self, cold, fmt):
+        pts = sweep(parse_tf("1/(s+1)"), grid_of(response._CACHED_GRID_POINTS + 1))
+        assert emit(pts, fmt) == emit(pts, fmt) == oracle(pts, fmt)
+        assert response._kept_points.cache_info().currsize == 0
+        assert response._kept_texts.cache_info().currsize == 0
+
+    def test_mutating_points_reaches_no_later_call(self, cold):
+        tf, grid = parse_tf("1/(s+1)"), FrequencyGrid(0.1, 10.0, 2)
+        expected = grid.points()
+        before = emit(sweep(tf, grid))
+        mutated = grid.points()
+        mutated[0] = 5.0
+        mutated.append(7.0)
+        mutated.sort()
+        assert grid.points() == expected == [0.1, 10**-0.5, 1.0, 10**0.5, 10.0]
+        assert emit(sweep(tf, grid)) == before
+
+    def test_retained_memory_is_bounded(self, cold):
+        # The bound stated in response.py's comment on _CACHED_GRIDS.
+        bound = 5.5e6
+        rest = (1.0, 0.0, 0.0, 0.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for k in range(20):
+                pts = [(w, *rest) for w in grid_of(response._CACHED_GRID_POINTS, k).points()]
+                for fmt in FORMATS:
+                    emit_rows(pts, fmt)
+            # The worst case: JSON columns whose doubles no kept grid holds.
+            for k in range(response._CACHED_GRIDS):
+                emit_rows([(w * (3.0 + k), *rest) for w, *_ in pts], "json")
+            del pts
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - base < bound
+            # A sweep larger than the cached leaves nothing behind.
+            base = tracemalloc.get_traced_memory()[0]
+            pts = sweep(parse_tf("s"), FrequencyGrid(1.0, 1e5, 20_000))
+            assert len(pts) == 100_001
+            emit(pts)
+            del pts
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - base < 50_000
+        finally:
+            tracemalloc.stop()
+
+
+class TestSignedZeroPhase:
+    @pytest.mark.parametrize(
+        "text,wmin,wmax", [("s^2/s^2", 1.0, 10.0), ("(s^2+1)/(s^2+2)", 0.1, 10.0)]
+    )
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_no_emitted_phase_is_negative_zero(self, text, wmin, wmax, fmt):
+        data = emit(sweep(parse_tf(text), FrequencyGrid(wmin, wmax, 1)), fmt)
+        if fmt == "csv":
+            phases = [float(v) for line in data.splitlines()[1:] for v in line.split(b",")[3:]]
+        else:
+            phases = [o[k] for o in json.loads(data) for k in ("phase_rad", "phase_deg")]
+        assert 0.0 in phases
+        assert all(math.copysign(1.0, v) == 1.0 for v in phases if v == 0.0)
+        assert b"-0.0" not in data
