@@ -1,6 +1,7 @@
 """The immutable base of the package's record types, and the one check of each input kind."""
 
 import math
+from operator import itemgetter
 
 # The bounds of real(): the largest finite double and the smallest
 # positive one, so "> 0" is the closed bound TINY.  Below the smallest
@@ -46,39 +47,37 @@ def count(x, rule: str, low: int, high: float) -> int:
     raise ValueError(f"{rule}, got {shown}")
 
 
-class Value:
-    """Immutable record whose fields are its ``__slots__``, in order.
+class Value(tuple):
+    """Immutable record that is the tuple of its fields, in the order its class annotates them.
 
-    ``==`` holds only between instances of the same class with equal
-    fields, and hash and repr are taken over the fields in order.
-    Assignment and deletion raise AttributeError, so each subclass's
-    ``__init__`` validates its arguments and ends with one call of
-    ``Value.__init__``, which stores them in ``__slots__`` order.  Copy
-    and pickle rebuild through the subclass's ``__init__``.  The parser's
-    unchecked builds in ``tf`` are the one exception: they store their
-    fields inline, because a parse builds a record per term and the
-    generic store takes about twice as long per record.
+    Each subclass annotates its fields and declares ``__slots__ = ()``;
+    each field is a read-only property of its index.  A record iterates,
+    indexes, takes ``len`` and orders as its tuple, and its hash is the
+    tuple's, but ``==`` holds only between records of the same class.
+    Assignment and deletion raise AttributeError.  Each subclass's
+    ``__new__`` checks its arguments and ends in
+    ``tuple.__new__(cls, fields)``; copy and pickle rebuild through it.
+    Builds from values already checked, as the parser's, call
+    ``tuple.__new__`` themselves.
     """
 
     __slots__ = ()
 
-    def __init__(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -88,4 +87,4 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(self)

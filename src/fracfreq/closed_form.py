@@ -26,21 +26,27 @@ _ALPHA = ("alpha must lie strictly in (0, 1)", TINY, math.nextafter(1.0, 0.0))
 class CaseIParams(Value):
     """Single fractional power of j*omega: omega > 0, 0 < alpha < 1."""
 
-    __slots__ = ("omega", "alpha")
+    __slots__ = ()
+    omega: float
+    alpha: float
 
-    def __init__(self, omega: float, alpha: float) -> None:
-        Value.__init__(self, real(omega, *OMEGA), real(alpha, *_ALPHA))
+    def __new__(cls, omega: float, alpha: float):
+        return tuple.__new__(cls, (real(omega, *OMEGA), real(alpha, *_ALPHA)))
 
 
 class CaseIIParams(Value):
     """Affine fractional power a*(j*omega)**alpha + b with a, b > 0."""
 
-    __slots__ = ("a", "b", "omega", "alpha")
+    __slots__ = ()
+    a: float
+    b: float
+    omega: float
+    alpha: float
 
-    def __init__(self, a: float, b: float, omega: float, alpha: float) -> None:
+    def __new__(cls, a: float, b: float, omega: float, alpha: float):
         a = real(a, "gain a must be finite and > 0", TINY)
         b = real(b, "offset b must be finite and > 0", TINY)
-        Value.__init__(self, a, b, real(omega, *OMEGA), real(alpha, *_ALPHA))
+        return tuple.__new__(cls, (a, b, real(omega, *OMEGA), real(alpha, *_ALPHA)))
 
 
 def jomega_pow(p: CaseIParams) -> Complex:

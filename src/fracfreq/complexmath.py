@@ -18,11 +18,13 @@ from ._value import Value, real
 class Complex(Value):
     """A complex value as an explicit (re, im) pair; both parts finite."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
+    re: float
+    im: float
 
-    def __init__(self, re: float, im: float = 0.0) -> None:
+    def __new__(cls, re: float, im: float = 0.0):
         re = real(re, "real part must be finite")
-        Value.__init__(self, re, real(im, "imaginary part must be finite"))
+        return tuple.__new__(cls, (re, real(im, "imaginary part must be finite")))
 
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0

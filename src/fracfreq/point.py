@@ -1,23 +1,24 @@
 """ResponsePoint, the library's record of one frequency sample, and sweep,
 response_at and emit, which turn response.py's rows into records and back.
 
-A record is its row, a tuple.  ResponsePoint(...), dataclasses.replace, copy
-and pickle check each field with _value.real; sweep and response_at trust
-rows's doubles (a grid or checked omega, a finite |h|, its dB or -inf, atan2
-of finite parts).  The command line uses rows alone: it imports no dataclasses.
+A ResponsePoint is its row: a record (_value.Value) and a frozen dataclass.
+ResponsePoint(...), dataclasses.replace, copy and pickle check each field
+with _value.real; sweep and response_at build it by one tuple.__new__,
+trusting rows's doubles (a grid or checked omega, a finite |h|, its dB or
+-inf, atan2 of finite parts).  The command line uses rows alone: it imports
+no dataclasses.
 """
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-from ._value import OMEGA, real
+from ._value import OMEGA, Value, real
 from .response import FrequencyGrid, emit_rows, rows
 from .tf import FracTF
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class ResponsePoint(tuple):
+class ResponsePoint(Value):
     """One frequency sample of H(j*omega) in every customary unit.
 
     mag_db is 20*log10(mag_linear) (amplitude convention) and phase_deg
@@ -43,22 +44,6 @@ class ResponsePoint(tuple):
             real(phase_deg, "phase_deg must be finite"),
         )
         return tuple.__new__(cls, row)
-
-    def __eq__(self, other):  # as the dataclass's: never equal to a row or another class
-        if type(other) is not type(self):
-            return False if isinstance(other, tuple) else NotImplemented
-        return tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
-    __hash__ = tuple.__hash__  # the hash of the row, as the dataclass hashed its fields
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)  # copy and pickle rebuild through the checked __new__
-
-
-# Each field reads its index of the row; set here, so @dataclass saw no defaults.
-for _i, _name in enumerate(ResponsePoint.__dataclass_fields__):
-    setattr(ResponsePoint, _name, property(itemgetter(_i)))
 
 
 def response_at(tf: FracTF, omega: float) -> ResponsePoint:

@@ -59,11 +59,14 @@ def _log_span(lo: float, hi: float, ppd: int) -> tuple[float, float, int]:
 class FrequencyGrid(Value):
     """Log-spaced angular-frequency samples over [omega_min, omega_max]."""
 
-    __slots__ = ("omega_min", "omega_max", "points_per_decade")
+    __slots__ = ()
+    omega_min: float
+    omega_max: float
+    points_per_decade: int
 
-    def __init__(
-        self, omega_min: float = 0.01, omega_max: float = 100.0, points_per_decade: int = 20
-    ) -> None:
+    def __new__(
+        cls, omega_min: float = 0.01, omega_max: float = 100.0, points_per_decade: int = 20
+    ):
         lo = real(omega_min, "omega_min must be finite and > 0", TINY)
         above_lo = math.nextafter(lo, math.inf)
         hi = real(omega_max, "omega_max must be finite and > omega_min", above_lo)
@@ -75,7 +78,7 @@ class FrequencyGrid(Value):
         if samples > MAX_GRID_POINTS:
             raise ValueError(f"grid would have more than {MAX_GRID_POINTS} samples")
         # Stored as floats, so that equal grids give equal points and equal bytes.
-        Value.__init__(self, lo, hi, ppd)
+        return tuple.__new__(cls, (lo, hi, ppd))
 
     def points(self) -> list[float]:
         """round(d*p) + 1 (at least 2) log-spaced samples over d decades at p per decade,
@@ -85,7 +88,7 @@ class FrequencyGrid(Value):
         A new list per call.  The process keeps the points of its last
         _CACHED_GRIDS grids of at most _CACHED_GRID_POINTS points, so a
         repeated grid copies them instead of computing them again."""
-        lo, hi, ppd = self.omega_min, self.omega_max, self.points_per_decade
+        lo, hi, ppd = self
         if _log_span(lo, hi, ppd)[2] + 1 <= _CACHED_GRID_POINTS:
             return list(_kept_points(lo, hi, ppd))
         return _points(lo, hi, ppd)

@@ -17,12 +17,14 @@ from .complexmath import Complex, argument, magnitude
 class PolarForm(Value):
     """Modulus/angle pair with the angle already in (-pi, pi]."""
 
-    __slots__ = ("r", "phi")
+    __slots__ = ()
+    r: float
+    phi: float
 
-    def __init__(self, r: float, phi: float) -> None:
+    def __new__(cls, r: float, phi: float):
         r = real(r, "modulus must be finite and >= 0", 0.0)
         phi = real(phi, "angle must lie in (-pi, pi]", math.nextafter(-math.pi, 0.0), math.pi)
-        Value.__init__(self, r, phi)
+        return tuple.__new__(cls, (r, phi))
 
 
 def to_polar(s: Complex) -> PolarForm:

@@ -16,10 +16,11 @@ terms sharing an exponent are merged, zero-coefficient terms dropped,
 and the remainder sorted by strictly decreasing exponent, so two
 structurally equal transfer functions compare equal with ``==``.  The
 polynomial that cancels to nothing is kept as the single constant term
-0; it is legal as a numerator but rejected as a denominator.  The parser
-checks each number as it reads it and builds its values from those checked
-numbers unchecked; FracTerm(...), FracPoly(...), FracTF(...), from_terms,
-constant, copy and pickle check every argument.
+0; it is legal as a numerator but rejected as a denominator.  Each value is
+a record, the tuple of its fields (_value.Value).  The parser checks each
+number as it reads it and builds each record of checked numbers by one
+unchecked tuple.__new__; FracTerm(...), FracPoly(...), FracTF(...),
+from_terms, constant, copy and pickle check every argument.
 """
 
 import math
@@ -48,11 +49,13 @@ class EvaluationError(ValueError):
 class FracTerm(Value):
     """One term c * s**e: real coefficient, nonnegative real exponent."""
 
-    __slots__ = ("coeff", "exponent")
+    __slots__ = ()
+    coeff: float
+    exponent: float
 
-    def __init__(self, coeff: float, exponent: float) -> None:
+    def __new__(cls, coeff: float, exponent: float):
         coeff = real(coeff, "coefficient must be finite")
-        Value.__init__(self, coeff, real(exponent, "exponent must be finite and >= 0", 0.0))
+        return tuple.__new__(cls, (coeff, real(exponent, "exponent must be finite and >= 0", 0.0)))
 
 
 _ZERO_TERM = FracTerm(0.0, 0.0)
@@ -61,16 +64,17 @@ _ZERO_TERM = FracTerm(0.0, 0.0)
 class FracPoly(Value):
     """Sum of terms in the normal form that from_terms builds; never empty."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    terms: tuple[FracTerm, ...]
 
-    def __init__(self, terms: tuple[FracTerm, ...]) -> None:
+    def __new__(cls, terms: tuple[FracTerm, ...]):
         terms = tuple(terms)
-        if terms != self.from_terms(terms).terms:
+        if terms != cls.from_terms(terms).terms:
             raise ValueError(
                 "terms must be one nonzero term per exponent, exponents strictly decreasing,"
                 f" got {[(t.coeff, t.exponent) for t in terms]}"
             )
-        Value.__init__(self, terms)
+        return tuple.__new__(cls, (terms,))
 
     @classmethod
     def from_terms(cls, terms) -> "FracPoly":
@@ -87,19 +91,14 @@ class FracPoly(Value):
         """from_terms's drop/sort tail on exponent -> sum; ValueError on a sum beyond a double.
 
         Built unchecked: the sums are of checked terms, so only a sum can
-        overflow; what it builds is the normal form that __init__ checks for."""
+        overflow; what it builds is the normal form that __new__ checks for."""
         kept = []
         for e in sorted(merged, reverse=True):
             if c := merged[e]:
                 if not math.isfinite(c):
                     raise ValueError(f"coefficient must be finite, got {c!r}")
-                t = object.__new__(FracTerm)
-                object.__setattr__(t, "coeff", c)
-                object.__setattr__(t, "exponent", e)
-                kept.append(t)
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", tuple(kept) or (_ZERO_TERM,))
-        return poly
+                kept.append(tuple.__new__(FracTerm, (c, e)))
+        return tuple.__new__(cls, (tuple(kept) or (_ZERO_TERM,),))
 
     @classmethod
     def constant(cls, value: float) -> "FracPoly":
@@ -122,15 +121,17 @@ _ONE = FracPoly.constant(1.0)
 class FracTF(Value):
     """Numerator/denominator pair; the denominator is never the zero polynomial."""
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ()
+    numerator: FracPoly
+    denominator: FracPoly
 
-    def __init__(self, numerator: FracPoly, denominator: FracPoly) -> None:
+    def __new__(cls, numerator: FracPoly, denominator: FracPoly):
         for name, poly in (("numerator", numerator), ("denominator", denominator)):
             if type(poly) is not FracPoly:
                 raise ValueError(f"{name} must be a FracPoly, got {type(poly).__name__}")
         if denominator.is_zero():
             raise ValueError("denominator polynomial is zero")
-        Value.__init__(self, numerator, denominator)
+        return tuple.__new__(cls, (numerator, denominator))
 
     def __str__(self) -> str:
         return pretty_print(self)
@@ -229,10 +230,7 @@ def parse_tf(text: str) -> FracTF:
         if parts[end]:
             raise _unexpected("end of input", parts, end)
     # Both sides are _poly's polynomials and the denominator is not zero.
-    tf = object.__new__(FracTF)
-    object.__setattr__(tf, "numerator", numerator)
-    object.__setattr__(tf, "denominator", denominator)
-    return tf
+    return tuple.__new__(FracTF, (numerator, denominator))
 
 
 # --- printer -------------------------------------------------------------
@@ -285,8 +283,8 @@ def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
     omega at a time, so no other omega's value changes."""
     acc = [0j] * len(omegas)
     try:
-        for t in p.terms:
-            e, c, jj = t.exponent, t.coeff, j_pow(t.exponent)
+        for c, e in p.terms:
+            jj = j_pow(e)
             if abs(c) < _SQRT_DBL_MIN:
                 acc = [a + c * (w**e * jj) for a, w in zip(acc, omegas)]
                 continue
@@ -319,7 +317,8 @@ def _h_on(tf: FracTF, omegas: list[float]) -> list[tuple[complex, float]]:
     convert it.
     """
     out = []
-    columns = zip(omegas, _poly_on(tf.numerator, omegas), _poly_on(tf.denominator, omegas))
+    numerator, denominator = tf
+    columns = zip(omegas, _poly_on(numerator, omegas), _poly_on(denominator, omegas))
     for omega, n, d in columns:
         d_mag = math.hypot(d.real, d.imag)
         if not d_mag < math.inf:  # inf or nan

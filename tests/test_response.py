@@ -705,27 +705,27 @@ class TestGridCaches:
         assert emit(sweep(tf, grid)) == before
 
     def test_retained_memory_is_bounded(self, cold):
-        # The bound stated in response.py's comment on _CACHED_GRIDS.
+        # The bound stated in response.py's comment on _CACHED_GRIDS, met by its
+        # worst case: JSON columns whose doubles no kept grid holds.  One grid
+        # more than the caches keep makes each of them evict.
         bound = 5.5e6
         rest = (1.0, 0.0, 0.0, 0.0)
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for k in range(20):
-                pts = [(w, *rest) for w in grid_of(response._CACHED_GRID_POINTS, k).points()]
-                for fmt in FORMATS:
-                    emit_rows(pts, fmt)
-            # The worst case: JSON columns whose doubles no kept grid holds.
-            for k in range(response._CACHED_GRIDS):
-                emit_rows([(w * (3.0 + k), *rest) for w, *_ in pts], "json")
-            del pts
+            for k in range(response._CACHED_GRIDS + 1):
+                omegas = grid_of(response._CACHED_GRID_POINTS, k).points()
+                emit_rows([(w * 3.0, *rest) for w in omegas], "json")
+            del omegas
             gc.collect()
             assert tracemalloc.get_traced_memory()[0] - base < bound
-            # A sweep larger than the cached leaves nothing behind.
+            # A sweep just larger than the cached leaves nothing behind; with
+            # the caches empty, a column kept would evict none.
+            response._kept_points.cache_clear()
+            response._kept_texts.cache_clear()
             base = tracemalloc.get_traced_memory()[0]
-            pts = sweep(parse_tf("s"), FrequencyGrid(1.0, 1e5, 20_000))
-            assert len(pts) == 100_001
+            pts = sweep(parse_tf("s"), grid_of(response._CACHED_GRID_POINTS + 1))
             emit(pts)
             del pts
             gc.collect()

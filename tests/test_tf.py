@@ -332,15 +332,15 @@ class TestParseBuildsOnce:
         for t in tf.numerator.terms + tf.denominator.terms:
             assert (type(t.coeff), type(t.exponent)) == (float, float)
 
-    def test_parse_calls_no_init(self, monkeypatch):
+    def test_parse_calls_no_checked_new(self, monkeypatch):
         calls = []
         for cls in (FracTerm, FracPoly, FracTF):
 
-            def counted_init(self, *args, _checked=cls.__init__):
-                calls.append((type(self).__name__, args))
-                _checked(self, *args)
+            def counted_new(cls, *args, _checked=cls.__new__):
+                calls.append((cls.__name__, args))
+                return _checked(cls, *args)
 
-            monkeypatch.setattr(cls, "__init__", counted_init)
+            monkeypatch.setattr(cls, "__new__", counted_new)
         for text in ["s", "s-s", "(3*s^0.5+2)/(s^1.2+4*s^0.7+1)", "s^0.5+s^0.5-1", "0/(2*s+s)"]:
             parse_tf(text)
         assert calls == []

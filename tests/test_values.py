@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import inspect
 import math
+import operator
 import pickle
 import subprocess
 import sys
@@ -100,6 +102,86 @@ class TestValueContract:
             assert type(twin) is type(value)
             assert twin == value
             assert repr(twin) == text
+
+    def test_record_is_its_tuple_but_equals_only_a_record(self, make, text, field):
+        value = make()
+        names = list(inspect.signature(type(value)).parameters)
+        row = tuple(getattr(value, name) for name in names)
+        assert tuple(value) == row and len(value) == len(names) and value[-1] == row[-1]
+        assert value != row and row != value and not value == row and not row == value
+        assert not hasattr(value, "__dict__")
+        # The record with its named field changed: a real halved, the terms of a
+        # polynomial without the first.
+        old = getattr(value, field)
+        if type(old) is float:
+            new = old / 2
+        elif type(old) is FracPoly:
+            new = FracPoly(old.terms[1:])
+        else:
+            new = old[1:]
+        other = type(value)(**{**dict(zip(names, value)), field: new})
+        assert other != value
+        for a, b in [(value, other), (other, value), (value, make())]:
+            for order in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert order(a, b) == order(tuple(a), tuple(b))
+
+
+# pickle.dumps(record, protocol=2) of each EXAMPLES record, as written by
+# the package when its records stored their fields in __slots__ and
+# ResponsePoint pickled through __getnewargs__.
+EARLIER_PICKLES = {
+    "FracTerm": (
+        b"\x80\x02cfracfreq.tf\nFracTerm\nq\x00G@\x00\x00\x00\x00\x00\x00\x00G?\xe0\x00\x00\x00"
+        b"\x00\x00\x00\x86q\x01Rq\x02."
+    ),
+    "FracPoly": (
+        b"\x80\x02cfracfreq.tf\nFracPoly\nq\x00cfracfreq.tf\nFracTerm\nq\x01G@\x00\x00\x00\x00"
+        b"\x00\x00\x00G?\xe0\x00\x00\x00\x00\x00\x00\x86q\x02Rq\x03h\x01G?\xf0\x00\x00\x00\x00"
+        b"\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86q\x04Rq\x05\x86q\x06\x85q\x07Rq\x08."
+    ),
+    "FracTF": (
+        b"\x80\x02cfracfreq.tf\nFracTF\nq\x00cfracfreq.tf\nFracPoly\nq\x01cfracfreq.tf\nFracTer"
+        b"m\nq\x02G@\x08\x00\x00\x00\x00\x00\x00G?\xe0\x00\x00\x00\x00\x00\x00\x86q\x03Rq\x04h"
+        b"\x02G@\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86q\x05Rq\x06"
+        b"\x86q\x07\x85q\x08Rq\th\x01h\x02G?\xf0\x00\x00\x00\x00\x00\x00G?\xf3333333\x86q\nRq"
+        b"\x0bh\x02G?\xf0\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86q\x0cRq\r"
+        b"\x86q\x0e\x85q\x0fRq\x10\x86q\x11Rq\x12."
+    ),
+    "FrequencyGrid": (
+        b"\x80\x02cfracfreq.response\nFrequencyGrid\nq\x00G?\x84z\xe1G\xae\x14{G@Y\x00\x00\x00"
+        b"\x00\x00\x00K\x14\x87q\x01Rq\x02."
+    ),
+    "Complex": (
+        b"\x80\x02cfracfreq.complexmath\nComplex\nq\x00G?\xf0\x00\x00\x00\x00\x00\x00G\xc0\x04"
+        b"\x00\x00\x00\x00\x00\x00\x86q\x01Rq\x02."
+    ),
+    "CaseIParams": (
+        b"\x80\x02cfracfreq.closed_form\nCaseIParams\nq\x00G@\x00\x00\x00\x00\x00\x00\x00G?\xd0"
+        b"\x00\x00\x00\x00\x00\x00\x86q\x01Rq\x02."
+    ),
+    "CaseIIParams": (
+        b"\x80\x02cfracfreq.closed_form\nCaseIIParams\nq\x00(G?\xf0\x00\x00\x00\x00\x00\x00G@"
+        b"\x00\x00\x00\x00\x00\x00\x00G@$\x00\x00\x00\x00\x00\x00G?\xe0\x00\x00\x00\x00\x00\x00"
+        b"tq\x01Rq\x02."
+    ),
+    "PolarForm": (
+        b"\x80\x02cfracfreq.roots\nPolarForm\nq\x00G?\xf0\x00\x00\x00\x00\x00\x00G?\xe0\x00\x00"
+        b"\x00\x00\x00\x00\x86q\x01Rq\x02."
+    ),
+    "ResponsePoint": (
+        b"\x80\x02cfracfreq.point\nResponsePoint\nq\x00(G@\x00\x00\x00\x00\x00\x00\x00G?\xe0"
+        b"\x00\x00\x00\x00\x00\x00G\xc0\x18\x00\x00\x00\x00\x00\x00G?\xd0\x00\x00\x00\x00\x00"
+        b"\x00G@,\x00\x00\x00\x00\x00\x00tq\x01\x81q\x02."
+    ),
+}
+
+
+@pytest.mark.parametrize("make,text,field", EXAMPLES, ids=IDS)
+def test_earlier_pickles_load(make, text, field):
+    value = pickle.loads(EARLIER_PICKLES[text.split("(")[0]])
+    assert type(value) is type(make())
+    assert value == make()
+    assert repr(value) == text
 
 
 def test_different_classes_with_equal_fields_are_unequal():
