@@ -10,7 +10,7 @@ no dataclasses.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from ._value import OMEGA, Value, real
 from .response import FrequencyGrid, emit_rows, rows
@@ -46,6 +46,12 @@ class ResponsePoint(Value):
         return tuple.__new__(cls, row)
 
 
+# @dataclass read each field's property, which Value had set, as its default.
+for _field in fields(ResponsePoint):
+    _field.default = MISSING
+del _field
+
+
 def response_at(tf: FracTF, omega: float) -> ResponsePoint:
     """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
     return tuple.__new__(ResponsePoint, rows(tf, [real(omega, *OMEGA)])[0])
@@ -53,8 +59,10 @@ def response_at(tf: FracTF, omega: float) -> ResponsePoint:
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
     """One ResponsePoint per grid frequency, ascending omega; tf.EvaluationError
-    with the first bad frequency, so no point is silently skipped."""
-    return [tuple.__new__(ResponsePoint, row) for row in rows(tf, grid.points())]
+    with the first bad frequency, so no point is silently skipped.  A kept grid's
+    omega**e columns are read, and filled, in place of computing them again."""
+    omegas, columns = grid._kept() or (grid.points(), None)
+    return [tuple.__new__(ResponsePoint, row) for row in rows(tf, omegas, columns)]
 
 
 def emit(points: list[ResponsePoint], format: str = "csv") -> bytes:

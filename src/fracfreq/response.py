@@ -8,6 +8,7 @@ byte-identical CSV and JSON.
 import functools
 import math
 from _collections_abc import Iterable  # collections.abc's source, loaded even under -S
+from _thread import allocate_lock
 from operator import add, itemgetter
 
 from ._value import TINY, Value, count, real
@@ -32,9 +33,13 @@ _JSON_OBJECT = "  {\n%s\n  }" % ",\n".join(f'    "{n}": %s' for n in CSV_HEADER.
 # _CACHED_GRIDS such omega columns in a format (_kept_texts): under 5.5 MB as
 # tracemalloc counts it.  The worst case is 8 lists of 4096 doubles (1.05 MB)
 # and 8 columns of 4096 JSON omega texts of up to 41 characters, each keyed
-# by doubles of its own (4.2 MB).
+# by doubles of its own (4.2 MB).  A kept grid also keeps the omega**e columns
+# its sweeps compute, up to _COLUMN_DOUBLES doubles: under 2.2 MB more, as
+# 8 grids of 8 array('d') columns of 4096 doubles are 2 MiB.
 _CACHED_GRIDS = 8
 _CACHED_GRID_POINTS = 4096
+_COLUMN_DOUBLES = 2**15
+_STORE_LOCK = allocate_lock()
 
 
 def _split(template: str) -> tuple[str, str]:
@@ -88,10 +93,16 @@ class FrequencyGrid(Value):
         A new list per call.  The process keeps the points of its last
         _CACHED_GRIDS grids of at most _CACHED_GRID_POINTS points, so a
         repeated grid copies them instead of computing them again."""
+        kept = self._kept()
+        return _points(*self) if kept is None else list(kept[0])
+
+    def _kept(self) -> "tuple[list[float], _Columns] | None":
+        """The points, never handed out, and column store the process keeps
+        for this grid; None past _CACHED_GRID_POINTS points."""
         lo, hi, ppd = self
         if _log_span(lo, hi, ppd)[2] + 1 <= _CACHED_GRID_POINTS:
-            return list(_kept_points(lo, hi, ppd))
-        return _points(lo, hi, ppd)
+            return _kept_points(lo, hi, ppd)
+        return None
 
 
 def _points(lo: float, hi: float, ppd: int) -> list[float]:
@@ -105,15 +116,34 @@ def _points(lo: float, hi: float, ppd: int) -> list[float]:
     return out
 
 
-# Its lists are never handed out: points() returns a copy.
-_kept_points = functools.lru_cache(maxsize=_CACHED_GRIDS)(_points)
+class _Columns(dict):
+    """A kept grid's omega**e columns by e, as array('d'): a column that
+    would take the store past _COLUMN_DOUBLES doubles is not kept."""
+
+    __slots__ = ()
+
+    def __setitem__(self, e: float, column: list[float]) -> None:
+        from array import array  # here, as the command line stores no column
+
+        with _STORE_LOCK:  # so that threads sweeping one grid keep to the budget
+            if (len(self) + 1) * len(column) <= _COLUMN_DOUBLES:
+                super().__setitem__(e, array("d", column))
 
 
-def rows(tf: FracTF, omegas: list[float]) -> list[tuple[float, float, float, float, float]]:
+@functools.lru_cache(maxsize=_CACHED_GRIDS)
+def _kept_points(lo: float, hi: float, ppd: int) -> tuple[list[float], _Columns]:
+    """_points(lo, hi, ppd) and an empty store for their columns."""
+    return _points(lo, hi, ppd), _Columns()
+
+
+def rows(
+    tf: FracTF, omegas: list[float], columns: dict | None = None
+) -> list[tuple[float, float, float, float, float]]:
     """(omega, |h|, its dB or -inf, principal phase in rad and deg) for each omega,
-    each already a positive finite float; tf.EvaluationError at the first bad omega."""
+    each already a positive finite float; tf.EvaluationError at the first bad omega.
+    columns: a kept grid's omega**e columns over omegas, or None (tf._h_on)."""
     out = []
-    for omega, (h, mag) in zip(omegas, _h_on(tf, omegas)):
+    for omega, (h, mag) in zip(omegas, _h_on(tf, omegas, columns)):
         if mag == 0.0:
             out.append((omega, mag, -math.inf, 0.0, 0.0))
             continue

@@ -269,28 +269,34 @@ def pretty_print(tf: FracTF) -> str:
 _SQRT_DBL_MIN = 2.0**-511
 
 
-def _poly_on(p: FracPoly, omegas: list[float]) -> list[complex]:
+def _poly_on(p: FracPoly, omegas: list[float], columns: dict | None = None) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
-    gains (c * omega**e) * j**e, Table I's magnitude times phasor, one
-    term at a time.  For |c| > 1 the term is (c/2 * omega**e) * (2 * j**e):
-    exact scalings, so c/2 * omega**e overflows only where the term does.
-    c * omega**e is subnormal where omega**e < DBL_MIN / |c|, and j**e
-    would round it a second time.  For |c| below sqrt(DBL_MIN) = 2**-511
-    that bound is above 2**-511, and 2**52 for the least subnormal c, so
-    such a term is c * (omega**e * j**e), whose one rounding into the
-    subnormal range is the last; for any other c it is below 2**-511.  An omega**e that
-    overflows makes its omega's sum infinite and the column is redone one
-    omega at a time, so no other omega's value changes."""
+    gains (c * x) * j**e, Table I's magnitude times phasor, one term at a
+    time.  x = omega**e is read from columns[e], or computed and stored
+    there (columns None: a new dict); either way it is the same double.
+    For |c| > 1 the term is (c/2 * x) * (2 * j**e): exact scalings, so
+    c/2 * x overflows only where the term does.  c * x is subnormal where
+    x < DBL_MIN / |c|, and j**e would round it a second time.  For |c|
+    below sqrt(DBL_MIN) = 2**-511 that bound is above 2**-511, and 2**52
+    for the least subnormal c, so such a term is c * (x * j**e), whose one
+    rounding into the subnormal range is the last; for any other c it is
+    below 2**-511.  An omega**e that overflows stores no column, makes its
+    omega's sum infinite and the column of sums is redone one omega at a
+    time, so no other omega's value changes."""
+    columns = {} if columns is None else columns
     acc = [0j] * len(omegas)
     try:
         for c, e in p.terms:
             jj = j_pow(e)
+            xs = columns.get(e)
+            if xs is None:
+                xs = columns[e] = [w**e for w in omegas]
             if abs(c) < _SQRT_DBL_MIN:
-                acc = [a + c * (w**e * jj) for a, w in zip(acc, omegas)]
+                acc = [a + c * (x * jj) for a, x in zip(acc, xs)]
                 continue
             if abs(c) > 1.0:
                 c, jj = c * 0.5, jj + jj
-            acc = [a + c * w**e * jj for a, w in zip(acc, omegas)]
+            acc = [a + c * x * jj for a, x in zip(acc, xs)]
     except OverflowError:
         if len(omegas) == 1:
             return [complex(math.inf)]
@@ -305,8 +311,13 @@ def eval_poly(p: FracPoly, omega: float) -> Complex:
     return eval_tf(FracTF(p, _ONE), omega)
 
 
-def _h_on(tf: FracTF, omegas: list[float]) -> list[tuple[complex, float]]:
+def _h_on(
+    tf: FracTF, omegas: list[float], columns: dict | None = None
+) -> list[tuple[complex, float]]:
     """(h, |h|) for each omega, h = N(j*omega)/D(j*omega) as a builtin complex.
+
+    N and D read and fill one store of omega**e columns over omegas
+    (_poly_on): columns, a kept grid's, or a new dict that the call drops.
 
     CPython's complex division is Smith's scaled method and never forms
     |D|**2.  |h| is math.hypot's, not abs(h): they differ in the last bit
@@ -317,9 +328,12 @@ def _h_on(tf: FracTF, omegas: list[float]) -> list[tuple[complex, float]]:
     convert it.
     """
     out = []
+    columns = {} if columns is None else columns
     numerator, denominator = tf
-    columns = zip(omegas, _poly_on(numerator, omegas), _poly_on(denominator, omegas))
-    for omega, n, d in columns:
+    sums = zip(
+        omegas, _poly_on(numerator, omegas, columns), _poly_on(denominator, omegas, columns)
+    )
+    for omega, n, d in sums:
         d_mag = math.hypot(d.real, d.imag)
         if not d_mag < math.inf:  # inf or nan
             raise EvaluationError("a value overflows", omega)

@@ -524,6 +524,7 @@ class TestEntryPoint:
             "inspect",
             "pathlib",
             "__future__",
+            "array",
             "fracfreq.roots",
             "fracfreq.point",
             "fracfreq.closed_form",
@@ -537,6 +538,24 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
+
+    def test_run_keeps_no_column(self, tmp_path):
+        # The command line evaluates once: N and D share a dict of the call's,
+        # the default grid's kept store stays empty, and array is never loaded.
+        argv = ["--tf", "(s^0.5+1)/(s^0.5+2)", "--out", str(tmp_path / "out.csv")]
+        code = (
+            "import sys; from fracfreq import cli, response; before = set(sys.modules); "
+            f"status = cli.main({argv!r}); "
+            "grids = response._kept_points.cache_info().currsize; "
+            "store = response._kept_points(0.01, 100.0, 20)[1]; "
+            "print(status, grids, dict(store), 'array' in set(sys.modules) - before)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().split() == ["0", "1", "{}", "False"]
+        assert len((tmp_path / "out.csv").read_bytes().splitlines()) == 1 + 81
 
     def test_response_import_loads_no_records(self):
         # The rows-and-bytes layer never needs the records or their dataclass.

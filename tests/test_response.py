@@ -5,6 +5,8 @@ import math
 import gc
 import pickle
 import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -33,6 +35,7 @@ from fracfreq import (
 from fracfreq.complexmath import j_pow
 from fracfreq import response
 from fracfreq.response import MAX_GRID_POINTS, emit_rows, rows
+from fracfreq import tf as tf_module
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
 
@@ -223,16 +226,19 @@ class TestSweep:
             # 0j start makes it +0.0, so the phase is 0.0, not -0.0.
             "-2*s^2",
             "(3*s^0.5+2)/(s^1.2+4*s^0.7+1)",
-            # N and D share the exponent 0.5, so D's column reuses N's phasor.
+            # N and D share the exponent 0.5, so D reuses N's phasor and omega**0.5 column.
             "(s^0.5+1)/(2*s^1.5+s^0.5+3)",
             # Exponents next to a quarter turn, where only r*pi/2 is rounded.
             "s^2.00000001/(s^3.999999999999999+1)",
         ],
     )
     def test_emit_bytes_equal_with_cold_and_warm_phasor_cache(self, text):
+        # Cold is also without the grid's kept omega**e columns; warm reads them.
         tf, grid = parse_tf(text), FrequencyGrid(0.01, 100.0, 5)
         j_pow.cache_clear()
+        response._kept_points.cache_clear()
         cold = [emit(sweep(tf, grid), f) for f in ("csv", "json")]
+        assert set(grid._kept()[1]) == {t.exponent for poly in tf for t in poly.terms}
         warm = [emit(sweep(tf, grid), f) for f in ("csv", "json")]
         assert cold == warm
 
@@ -537,6 +543,13 @@ class TestRecord:
         assert p == mock.ANY and not p != mock.ANY
         assert not hasattr(p, "__dict__")
 
+    def test_fields_have_no_default(self):
+        for f in dataclasses.fields(ResponsePoint):
+            assert f.default is dataclasses.MISSING, f.name
+            assert f.default_factory is dataclasses.MISSING, f.name
+        assert type(vars(ResponsePoint)["omega"]) is property
+        assert response_at(parse_tf("s"), 2.0).omega == 2.0
+
     def test_assignment_raises_frozen_instance_error(self):
         for name in ("omega", "phase_deg", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -688,10 +701,16 @@ class TestGridCaches:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_column_longer_than_the_cached_is_not_kept(self, cold, fmt):
-        pts = sweep(parse_tf("1/(s+1)"), grid_of(response._CACHED_GRID_POINTS + 1))
+        grid = grid_of(response._CACHED_GRID_POINTS + 1)
+        with mock.patch.object(tf_module, "_poly_on", wraps=_poly_on) as spy:
+            pts = sweep(parse_tf("1/(s+1)"), grid)
         assert emit(pts, fmt) == emit(pts, fmt) == oracle(pts, fmt)
         assert response._kept_points.cache_info().currsize == 0
         assert response._kept_texts.cache_info().currsize == 0
+        # N and D share one plain dict of the call's, which no grid keeps.
+        stores = [call.args[2] for call in spy.call_args_list]
+        assert len(stores) == 2 and stores[0] is stores[1] and type(stores[0]) is dict
+        assert grid._kept() is None
 
     def test_mutating_points_reaches_no_later_call(self, cold):
         tf, grid = parse_tf("1/(s+1)"), FrequencyGrid(0.1, 10.0, 2)
@@ -705,10 +724,10 @@ class TestGridCaches:
         assert emit(sweep(tf, grid)) == before
 
     def test_retained_memory_is_bounded(self, cold):
-        # The bound stated in response.py's comment on _CACHED_GRIDS, met by its
-        # worst case: JSON columns whose doubles no kept grid holds.  One grid
+        # The bounds stated in response.py's comment on _CACHED_GRIDS, met by
+        # their worst case: JSON columns whose doubles no kept grid holds.  One grid
         # more than the caches keep makes each of them evict.
-        bound = 5.5e6
+        bound, columns_bound = 5.5e6, 2.2e6
         rest = (1.0, 0.0, 0.0, 0.0)
         gc.collect()
         tracemalloc.start()
@@ -720,6 +739,18 @@ class TestGridCaches:
             del omegas
             gc.collect()
             assert tracemalloc.get_traced_memory()[0] - base < bound
+            # The same grids swept, each by a function with more columns than a
+            # store takes, so every kept grid's store is full.
+            size = response._CACHED_GRID_POINTS
+            fit = response._COLUMN_DOUBLES // size
+            tf = parse_tf("+".join(f"s^{k / 8!r}" for k in range(fit + 1)))
+            for k in range(response._CACHED_GRIDS + 1):
+                sweep(tf, grid_of(size, k))
+            kept = [grid_of(size, k)._kept()[1] for k in range(1, response._CACHED_GRIDS + 1)]
+            assert all(len(store) == fit for store in kept)
+            del tf, kept
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - base < bound + columns_bound
             # A sweep just larger than the cached leaves nothing behind; with
             # the caches empty, a column kept would evict none.
             response._kept_points.cache_clear()
@@ -732,6 +763,130 @@ class TestGridCaches:
             assert tracemalloc.get_traced_memory()[0] - base < 50_000
         finally:
             tracemalloc.stop()
+
+
+# Exponents that two functions can share: quarter turns, exponents next to
+# them, and 60, whose omega**60 overflows above omega = 1e5.14.
+SHARED_EXPONENTS = st.sampled_from([0.0, 0.5, 0.7, 1.0, 1.2, 2.00000001, 3.999999999999999, 60.0])
+shared_polys = st.lists(
+    st.tuples(st.floats(min_value=-1e3, max_value=1e3), SHARED_EXPONENTS), min_size=1, max_size=5
+).map(lambda terms: FracPoly.from_terms([FracTerm(c, e) for c, e in terms]))
+shared_tfs = st.tuples(shared_polys, shared_polys.filter(lambda p: not p.is_zero())).map(
+    lambda nd: FracTF(*nd)
+)
+
+
+def outcome(tf: FracTF, grid: FrequencyGrid, fmt: str) -> bytes | tuple[str, float]:
+    """emit's bytes of the sweep, or its EvaluationError's message and omega."""
+    try:
+        return emit(sweep(tf, grid), fmt)
+    except EvaluationError as exc:
+        return str(exc), exc.omega
+
+
+def cold_outcome(tf: FracTF, grid: FrequencyGrid, fmt: str) -> bytes | tuple[str, float]:
+    """outcome in a process that keeps nothing yet: no grid, column, text or phasor."""
+    response._kept_points.cache_clear()
+    response._kept_texts.cache_clear()
+    j_pow.cache_clear()
+    return outcome(tf, grid, fmt)
+
+
+class TestKeptColumns:
+    """A kept grid keeps the omega**e columns its sweeps compute; no byte may depend on it."""
+
+    @settings(deadline=None)
+    @given(shared_tfs, shared_tfs, small_grids, st.sampled_from(FORMATS))
+    @example(
+        parse_tf("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)"),
+        parse_tf("(s^0.5+1)/(2*s^1.2+s^0.7+3)"),
+        FrequencyGrid(),
+        "csv",
+    )
+    def test_functions_sharing_exponents_alternately_give_cold_bytes(self, a, b, grid, fmt):
+        cold = [cold_outcome(tf, grid, fmt) for tf in (a, b)]
+        response._kept_points.cache_clear()
+        response._kept_texts.cache_clear()
+        for _ in range(2):
+            assert [outcome(tf, grid, fmt) for tf in (a, b)] == cold
+        # The command line's path keeps no column and agrees.
+        for tf, want in zip((a, b), cold):
+            try:
+                got = emit_rows(rows(tf, grid.points()), fmt)
+            except EvaluationError as exc:
+                got = str(exc), exc.omega
+            assert got == want
+
+    def test_shared_exponents_are_computed_once(self, cold):
+        a, b = parse_tf("s^0.5/(s^1.2+1)"), parse_tf("(s^0.5+s^0.7)/s^1.2")
+        grid = FrequencyGrid()
+        sweep(a, grid)
+        omegas, store = grid._kept()
+        first = {e: store[e] for e in store}
+        sweep(b, grid)
+        assert list(store) == [0.5, 1.2, 0.0, 0.7]
+        assert all(store[e] is column for e, column in first.items())
+        for e, column in store.items():
+            assert column.typecode == "d"
+            assert [x.hex() for x in column] == [(w**e).hex() for w in omegas]
+
+    def test_overflowing_exponent_keeps_no_column(self, cold):
+        grid = FrequencyGrid(1.0, 100.0, 10)
+        for text in ("s^200/s^200", "s^0.5/s^200"):
+            tf = parse_tf(text)
+            first = first_eval_error(tf, grid.points())
+            for _ in range(2):
+                with pytest.raises(EvaluationError) as caught:
+                    sweep(tf, grid)
+                assert (str(caught.value), caught.value.omega) == (str(first), first.omega)
+                assert 200.0 not in grid._kept()[1]
+            assert first.omega == 10**1.6
+        assert list(grid._kept()[1]) == [0.5]
+
+    def test_store_stops_at_its_budget(self, cold):
+        size = response._CACHED_GRID_POINTS
+        fit = response._COLUMN_DOUBLES // size
+        exponents = [k / 8 for k in range(fit + 2)]
+        tf, grid = parse_tf("+".join(f"s^{e!r}" for e in exponents)), grid_of(size)
+        want = emit_rows(rows(tf, grid.points()))
+        assert emit(sweep(tf, grid)) == emit(sweep(tf, grid)) == want
+        _, store = grid._kept()
+        assert list(store) == sorted(exponents, reverse=True)[:fit]
+        assert len(store) * size <= response._COLUMN_DOUBLES < (len(store) + 1) * size
+
+    def test_threads_sweeping_one_grid_keep_its_budget(self, cold, monkeypatch):
+        # Room for 4 columns and 13 exponents on offer: a store that two
+        # threads both fill past its last room holds 5.
+        grid = FrequencyGrid(0.1, 1000.0, 2)
+        size = len(grid.points())
+        monkeypatch.setattr(response, "_COLUMN_DOUBLES", 4 * size)
+        tfs = [parse_tf(f"(s^{k}.25+s^{k}.5)/(s^{k}.75+1)") for k in range(4)]
+        want = [emit_rows(rows(tf, grid.points())) for tf in tfs]
+        got, rounds = [], 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                response._kept_points.cache_clear()
+                barrier = threading.Barrier(len(tfs))
+
+                def run(tf):
+                    barrier.wait(timeout=10)
+                    got.append((tf, emit(sweep(tf, grid))))
+
+                threads = [threading.Thread(target=run, args=(tf,)) for tf in tfs]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(grid._kept()[1]) == 4
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 4 * rounds > 0
+        assert all(data == want[tfs.index(tf)] for tf, data in got)
 
 
 class TestSignedZeroPhase:
