@@ -18,8 +18,8 @@ _MODULES = {
         "affine_mag_omega2_cross_term", "jomega_pow", "jomega_pow_arg", "jomega_pow_mag",
     ),
     "complexmath": ("Complex", "add", "argument", "div", "magnitude", "mul"),
-    "point": ("ResponsePoint", "emit", "response_at", "sweep"),
-    "response": ("CSV_HEADER", "FORMATS", "FrequencyGrid", "format_value"),
+    "point": ("ResponsePoint", "response_at", "sweep"),
+    "response": ("CSV_HEADER", "FORMATS", "FrequencyGrid", "emit", "format_value"),
     "roots": ("PolarForm", "branch_count", "nth_roots", "pow_branch", "principal_pow", "to_polar"),
     "tf": (
         "EvaluationError", "FracPoly", "FracTF", "FracTerm", "ParseError",

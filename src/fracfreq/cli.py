@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .response import FORMATS, FrequencyGrid, emit_rows, rows
+from .response import FORMATS, FrequencyGrid, emit, rows
 from .tf import EvaluationError, ParseError, parse_tf
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:  # -h/--help goes to standard output, whatever --out says
         data, path = HELP.encode(), None
     else:
-        data, path = emit_rows(values, args["format"]), args["out"]
+        data, path = emit(values, args["format"]), args["out"]
     if path is None:
         try:
             if sys.stdout is None:  # the process started with standard output closed

@@ -1,5 +1,5 @@
-"""ResponsePoint, the library's record of one frequency sample, and sweep,
-response_at and emit, which turn response.py's rows into records and back.
+"""ResponsePoint, the library's record of one frequency sample, and sweep
+and response_at, which turn response.py's rows into records.
 
 A ResponsePoint is its row: a record (_value.Value) and a frozen dataclass.
 ResponsePoint(...), dataclasses.replace, copy and pickle check each field
@@ -13,7 +13,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from ._value import OMEGA, Value, real
-from .response import FrequencyGrid, emit_rows, rows
+from .response import FrequencyGrid, rows
 from .tf import FracTF
 
 
@@ -61,10 +61,6 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
     """One ResponsePoint per grid frequency, ascending omega; tf.EvaluationError
     with the first bad frequency, so no point is silently skipped.  A kept grid's
     omega**e columns are read, and filled, in place of computing them again."""
-    omegas, columns = grid._kept() or (grid.points(), None)
-    return [tuple.__new__(ResponsePoint, row) for row in rows(tf, omegas, columns)]
-
-
-def emit(points: list[ResponsePoint], format: str = "csv") -> bytes:
-    """response.emit_rows of the points, which are rows: its docstring gives the bytes."""
-    return emit_rows(points, format)
+    if type(grid) is not FrequencyGrid:
+        raise ValueError(f"grid must be a FrequencyGrid, got {type(grid).__name__}")
+    return [tuple.__new__(ResponsePoint, row) for row in rows(tf, *grid._kept())]

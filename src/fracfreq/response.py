@@ -28,7 +28,7 @@ _CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e\n"
 # double as json.dumps does, but -inf as "-inf"; no key contains that.
 _JSON_OBJECT = "  {\n%s\n  }" % ",\n".join(f'    "{n}": %s' for n in CSV_HEADER.split(","))
 
-# A process keeps the points of its last _CACHED_GRIDS grids of at most
+# A process keeps the points of its last _CACHED_GRIDS swept grids of at most
 # _CACHED_GRID_POINTS points (_kept_points), and the texts of its last
 # _CACHED_GRIDS such omega columns in a format (_kept_texts): under 5.5 MB as
 # tracemalloc counts it.  The worst case is 8 lists of 4096 doubles (1.05 MB)
@@ -90,19 +90,16 @@ class FrequencyGrid(Value):
         endpoints exact, non-decreasing: on a grid narrower than the rounding of log10
         omega they may repeat, and an interior one that rounds past an endpoint is clamped.
 
-        A new list per call.  The process keeps the points of its last
-        _CACHED_GRIDS grids of at most _CACHED_GRID_POINTS points, so a
-        repeated grid copies them instead of computing them again."""
-        kept = self._kept()
-        return _points(*self) if kept is None else list(kept[0])
+        Computed on every call, a new list; only a sweep reads the kept points (_kept)."""
+        return _points(*self)
 
-    def _kept(self) -> "tuple[list[float], _Columns] | None":
-        """The points, never handed out, and column store the process keeps
-        for this grid; None past _CACHED_GRID_POINTS points."""
+    def _kept(self) -> tuple[list[float], dict]:
+        """The points, never handed out, and omega**e column store for a sweep: the
+        process's kept pair up to _CACHED_GRID_POINTS points, else a new list and dict."""
         lo, hi, ppd = self
         if _log_span(lo, hi, ppd)[2] + 1 <= _CACHED_GRID_POINTS:
             return _kept_points(lo, hi, ppd)
-        return None
+        return _points(lo, hi, ppd), {}
 
 
 def _points(lo: float, hi: float, ppd: int) -> list[float]:
@@ -141,9 +138,9 @@ def rows(
 ) -> list[tuple[float, float, float, float, float]]:
     """(omega, |h|, its dB or -inf, principal phase in rad and deg) for each omega,
     each already a positive finite float; tf.EvaluationError at the first bad omega.
-    columns: a kept grid's omega**e columns over omegas, or None (tf._h_on)."""
+    columns: a store of omega**e columns over omegas (tf._h_on), or None for a new one."""
     out = []
-    for omega, (h, mag) in zip(omegas, _h_on(tf, omegas, columns)):
+    for omega, (h, mag) in zip(omegas, _h_on(tf, omegas, {} if columns is None else columns)):
         if mag == 0.0:
             out.append((omega, mag, -math.inf, 0.0, 0.0))
             continue
@@ -155,8 +152,9 @@ def rows(
     return out
 
 
-def emit_rows(values: Iterable[tuple], format: str = "csv") -> bytes:
-    """Serialize an iterable of rows like rows's doubles; format is "csv" or "json".
+def emit(values: Iterable[tuple], format: str = "csv") -> bytes:
+    """Serialize an iterable of rows like rows's doubles, or of the ResponsePoints
+    that are such rows; format is "csv" or "json".
 
     CSV is the header line and one line per row, every value with 17
     significant digits, each line feed terminated.  JSON is an array of

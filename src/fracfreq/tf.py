@@ -269,11 +269,11 @@ def pretty_print(tf: FracTF) -> str:
 _SQRT_DBL_MIN = 2.0**-511
 
 
-def _poly_on(p: FracPoly, omegas: list[float], columns: dict | None = None) -> list[complex]:
+def _poly_on(p: FracPoly, omegas: list[float], columns: dict) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
     gains (c * x) * j**e, Table I's magnitude times phasor, one term at a
-    time.  x = omega**e is read from columns[e], or computed and stored
-    there (columns None: a new dict); either way it is the same double.
+    time.  x = omega**e is read from columns[e], the store of omega**e columns
+    over omegas, or computed and stored there; either way it is the same double.
     For |c| > 1 the term is (c/2 * x) * (2 * j**e): exact scalings, so
     c/2 * x overflows only where the term does.  c * x is subnormal where
     x < DBL_MIN / |c|, and j**e would round it a second time.  For |c|
@@ -283,7 +283,6 @@ def _poly_on(p: FracPoly, omegas: list[float], columns: dict | None = None) -> l
     below 2**-511.  An omega**e that overflows stores no column, makes its
     omega's sum infinite and the column of sums is redone one omega at a
     time, so no other omega's value changes."""
-    columns = {} if columns is None else columns
     acc = [0j] * len(omegas)
     try:
         for c, e in p.terms:
@@ -300,7 +299,7 @@ def _poly_on(p: FracPoly, omegas: list[float], columns: dict | None = None) -> l
     except OverflowError:
         if len(omegas) == 1:
             return [complex(math.inf)]
-        return [z for w in omegas for z in _poly_on(p, [w])]
+        return [z for w in omegas for z in _poly_on(p, [w], {})]
     return acc
 
 
@@ -311,13 +310,11 @@ def eval_poly(p: FracPoly, omega: float) -> Complex:
     return eval_tf(FracTF(p, _ONE), omega)
 
 
-def _h_on(
-    tf: FracTF, omegas: list[float], columns: dict | None = None
-) -> list[tuple[complex, float]]:
+def _h_on(tf: FracTF, omegas: list[float], columns: dict) -> list[tuple[complex, float]]:
     """(h, |h|) for each omega, h = N(j*omega)/D(j*omega) as a builtin complex.
 
-    N and D read and fill one store of omega**e columns over omegas
-    (_poly_on): columns, a kept grid's, or a new dict that the call drops.
+    N and D read and fill columns, one store of omega**e columns over omegas
+    (_poly_on).  ValueError when tf is not a FracTF.
 
     CPython's complex division is Smith's scaled method and never forms
     |D|**2.  |h| is math.hypot's, not abs(h): they differ in the last bit
@@ -327,8 +324,9 @@ def _h_on(
     finite.  Each omega must already be a positive finite float: callers
     convert it.
     """
+    if type(tf) is not FracTF:
+        raise ValueError(f"tf must be a FracTF, got {type(tf).__name__}")
     out = []
-    columns = {} if columns is None else columns
     numerator, denominator = tf
     sums = zip(
         omegas, _poly_on(numerator, omegas, columns), _poly_on(denominator, omegas, columns)
@@ -353,5 +351,5 @@ def eval_tf(tf: FracTF, omega: float) -> Complex:
     Raises EvaluationError (carrying omega) when the denominator's
     magnitude is zero or subnormal, or a value overflows.
     """
-    ((h, _),) = _h_on(tf, [real(omega, *OMEGA)])
+    ((h, _),) = _h_on(tf, [real(omega, *OMEGA)], {})
     return Complex(h.real, h.imag)

@@ -541,7 +541,7 @@ class TestEntryPoint:
 
     def test_run_keeps_no_column(self, tmp_path):
         # The command line evaluates once: N and D share a dict of the call's,
-        # the default grid's kept store stays empty, and array is never loaded.
+        # no grid is kept, and array is never loaded.
         argv = ["--tf", "(s^0.5+1)/(s^0.5+2)", "--out", str(tmp_path / "out.csv")]
         code = (
             "import sys; from fracfreq import cli, response; before = set(sys.modules); "
@@ -554,7 +554,7 @@ class TestEntryPoint:
             [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
         )
         assert result.returncode == 0, result.stderr.decode()
-        assert result.stdout.decode().split() == ["0", "1", "{}", "False"]
+        assert result.stdout.decode().split() == ["0", "0", "{}", "False"]
         assert len((tmp_path / "out.csv").read_bytes().splitlines()) == 1 + 81
 
     def test_response_import_loads_no_records(self):
@@ -562,6 +562,19 @@ class TestEntryPoint:
         forbidden = {"dataclasses", "fracfreq.point"}
         code = (
             "import sys; before = set(sys.modules); import fracfreq.response; "
+            f"print(sorted((set(sys.modules) - before) & {forbidden!r}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().strip() == "[]"
+
+    def test_emit_loads_no_records(self):
+        # The library's emit is the command line's: it needs no record or dataclass.
+        forbidden = {"dataclasses", "fracfreq.point"}
+        code = (
+            "import sys; before = set(sys.modules); import fracfreq; fracfreq.emit; "
             f"print(sorted((set(sys.modules) - before) & {forbidden!r}))"
         )
         result = subprocess.run(

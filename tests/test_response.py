@@ -24,7 +24,6 @@ from fracfreq import (
     FracTF,
     FrequencyGrid,
     ResponsePoint,
-    emit,
     eval_poly,
     eval_tf,
     format_value,
@@ -34,7 +33,7 @@ from fracfreq import (
 )
 from fracfreq.complexmath import j_pow
 from fracfreq import response
-from fracfreq.response import MAX_GRID_POINTS, emit_rows, rows
+from fracfreq.response import MAX_GRID_POINTS, emit, rows
 from fracfreq import tf as tf_module
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
@@ -361,7 +360,7 @@ class TestColumnEvaluation:
             return
         assert first_eval_error(tf, omegas) is None
         # repr tells -0.0 from 0.0 and shows every bit of a double.
-        for row, (h, mag), omega in zip(got, _h_on(tf, omegas), omegas, strict=True):
+        for row, (h, mag), omega in zip(got, _h_on(tf, omegas, {}), omegas, strict=True):
             assert repr(row) == repr(dataclasses.astuple(response_at(tf, omega)))
             point = eval_tf(tf, omega)
             assert repr(complex(point.re, point.im)) == repr(h)
@@ -399,7 +398,7 @@ class TestColumnEvaluation:
     @example((FracPoly.from_terms([FracTerm(2.225073858507e-311, 0.5)]), [0.00390625, 1.0]))
     def test_column_is_the_in_order_sum_bit_for_bit(self, column):
         p, omegas = column
-        got = _poly_on(p, omegas)
+        got = _poly_on(p, omegas, {})
         assert len(got) == len(omegas)
         for z, omega in zip(got, omegas):
             assert bits(z) == bits(in_order_sum(p, omega)), omega
@@ -414,7 +413,7 @@ class TestColumnEvaluation:
         # instead of inf; where c/2 * omega**e is subnormal, the halving can
         # lose its last bit (1.25*s at omega = 5e-324 gives 1e-323j, not 5e-324j).
         p, omegas = column
-        for z, omega in zip(_poly_on(p, omegas), omegas):
+        for z, omega in zip(_poly_on(p, omegas, {}), omegas):
             want = phasor_first_sum(p, omega)
             if not (math.isfinite(want.real) and math.isfinite(want.imag)):
                 continue
@@ -432,13 +431,13 @@ class TestColumnEvaluation:
         c, e, omega = term
         whole = c * omega**e
         assume(math.isfinite(whole) and abs(whole) * 0.5 >= DBL_MIN)
-        (z,) = _poly_on(FracPoly((FracTerm(c, e),)), [omega])
+        (z,) = _poly_on(FracPoly((FracTerm(c, e),)), [omega], {})
         assert bits(z) == bits(0j + whole * j_pow(e))
 
     def test_overflow_makes_only_its_own_omega_infinite(self):
         den = parse_tf("1/(s^400+1)").denominator
         omegas = FrequencyGrid(0.1, 100.0, 10).points()
-        column = _poly_on(den, omegas)
+        column = _poly_on(den, omegas, {})
         assert [z == complex(math.inf) for z in column] == [False] * 18 + [True] * 13
         for omega, z in zip(omegas[:18], column):
             assert repr(eval_poly(den, omega)) == repr(Complex(z.real, z.imag))
@@ -613,7 +612,7 @@ class TestEmit:
         assert emit(iter(()), fmt) == emit([], fmt)
 
     def test_empty_iterator_of_rows_is_empty_json(self):
-        assert emit_rows(iter([]), "json") == b"[]\n"
+        assert emit(iter([]), "json") == b"[]\n"
 
     def test_identity_row(self):
         body = emit([IDENTITY_POINT]).decode()
@@ -696,8 +695,8 @@ class TestGridCaches:
             pts = [ResponsePoint(w, *rest) for w in omegas]
             assert emit(pts, fmt) == oracle(pts, fmt)
         # A raw row's int prints as an int under %s; 1 == 1.0 must not share texts.
-        emit_rows([(1.0, *rest)], fmt)
-        assert emit_rows([(1, *rest)], fmt) == oracle([(1, *rest)], fmt)
+        emit([(1.0, *rest)], fmt)
+        assert emit([(1, *rest)], fmt) == oracle([(1, *rest)], fmt)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_column_longer_than_the_cached_is_not_kept(self, cold, fmt):
@@ -710,7 +709,30 @@ class TestGridCaches:
         # N and D share one plain dict of the call's, which no grid keeps.
         stores = [call.args[2] for call in spy.call_args_list]
         assert len(stores) == 2 and stores[0] is stores[1] and type(stores[0]) is dict
-        assert grid._kept() is None
+        assert grid._kept() == (grid.points(), {})
+        assert response._kept_points.cache_info().currsize == 0
+
+    def test_points_keep_nothing_and_a_sweep_keeps_the_grid(self, cold):
+        grid = FrequencyGrid()
+        assert grid.points() == grid.points()
+        assert response._kept_points.cache_info().currsize == 0
+        sweep(parse_tf("1/(s^0.5+1)"), grid)
+        assert response._kept_points.cache_info().currsize == 1
+        assert grid._kept()[0] == grid.points()
+
+    def test_kept_grid_gives_the_identical_pair(self, cold):
+        grid = grid_of(response._CACHED_GRID_POINTS)
+        first, second = grid._kept(), grid._kept()
+        assert first[0] is second[0] and first[1] is second[1]
+        assert first[0] == grid.points()
+
+    def test_larger_grid_gets_a_fresh_pair_each_call(self, cold):
+        grid = grid_of(response._CACHED_GRID_POINTS + 1)
+        first, second = grid._kept(), grid._kept()
+        for omegas, store in (first, second):
+            assert omegas == grid.points() and type(store) is dict and store == {}
+        assert first[0] is not second[0] and first[1] is not second[1]
+        assert response._kept_points.cache_info().currsize == 0
 
     def test_mutating_points_reaches_no_later_call(self, cold):
         tf, grid = parse_tf("1/(s+1)"), FrequencyGrid(0.1, 10.0, 2)
@@ -735,7 +757,7 @@ class TestGridCaches:
             base = tracemalloc.get_traced_memory()[0]
             for k in range(response._CACHED_GRIDS + 1):
                 omegas = grid_of(response._CACHED_GRID_POINTS, k).points()
-                emit_rows([(w * 3.0, *rest) for w in omegas], "json")
+                emit([(w * 3.0, *rest) for w in omegas], "json")
             del omegas
             gc.collect()
             assert tracemalloc.get_traced_memory()[0] - base < bound
@@ -812,7 +834,7 @@ class TestKeptColumns:
         # The command line's path keeps no column and agrees.
         for tf, want in zip((a, b), cold):
             try:
-                got = emit_rows(rows(tf, grid.points()), fmt)
+                got = emit(rows(tf, grid.points()), fmt)
             except EvaluationError as exc:
                 got = str(exc), exc.omega
             assert got == want
@@ -848,7 +870,7 @@ class TestKeptColumns:
         fit = response._COLUMN_DOUBLES // size
         exponents = [k / 8 for k in range(fit + 2)]
         tf, grid = parse_tf("+".join(f"s^{e!r}" for e in exponents)), grid_of(size)
-        want = emit_rows(rows(tf, grid.points()))
+        want = emit(rows(tf, grid.points()))
         assert emit(sweep(tf, grid)) == emit(sweep(tf, grid)) == want
         _, store = grid._kept()
         assert list(store) == sorted(exponents, reverse=True)[:fit]
@@ -861,7 +883,7 @@ class TestKeptColumns:
         size = len(grid.points())
         monkeypatch.setattr(response, "_COLUMN_DOUBLES", 4 * size)
         tfs = [parse_tf(f"(s^{k}.25+s^{k}.5)/(s^{k}.75+1)") for k in range(4)]
-        want = [emit_rows(rows(tf, grid.points())) for tf in tfs]
+        want = [emit(rows(tf, grid.points())) for tf in tfs]
         got, rounds = [], 0
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

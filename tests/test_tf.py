@@ -33,6 +33,7 @@ from fracfreq import (
     response_at,
     sweep,
 )
+from fracfreq.response import rows
 from helpers import REFERENCE, close, complex_close, decimal_poly
 
 
@@ -419,6 +420,22 @@ class TestEvalPolyIsEvalTF:
         for p, kind in (("s", "str"), (1, "int")):
             with pytest.raises(ValueError, match=f"^p must be a FracPoly, got {kind}$"):
                 eval_poly(p, 1.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: eval_tf("s", 1.0), "tf must be a FracTF, got str"),
+            (lambda: response_at(None, 1.0), "tf must be a FracTF, got NoneType"),
+            (lambda: sweep(parse_tf("s").numerator, FrequencyGrid()), "tf must be a FracTF, got FracPoly"),
+            (lambda: rows(1, [1.0]), "tf must be a FracTF, got int"),
+            (lambda: sweep(parse_tf("s"), (0.01, 100.0, 20)), "grid must be a FrequencyGrid, got tuple"),
+            (lambda: sweep(parse_tf("s"), None), "grid must be a FrequencyGrid, got NoneType"),
+        ],
+        ids=["eval_tf", "response_at", "sweep_tf", "rows", "sweep_grid_tuple", "sweep_grid_none"],
+    )
+    def test_wrong_argument_type_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestEvalTF:
