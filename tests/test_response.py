@@ -670,6 +670,29 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit([IDENTITY_POINT], format="xml")
 
+    def test_unhashable_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown output format"):
+            emit([IDENTITY_POINT], format=["csv"])
+
+    # CSV %-formats the rest of each row and JSON unpacks it, so each
+    # format refuses a row of other than five values in its own way.
+    @pytest.mark.parametrize("width", [4, 6])
+    @pytest.mark.parametrize("fmt, error", [("csv", TypeError), ("json", ValueError)])
+    def test_row_of_other_than_five_values_is_refused(self, fmt, error, width):
+        with pytest.raises(error):
+            emit([IDENTITY_POINT, (1.0,) * width], fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_list_of_five_floats_is_refused(self, fmt):
+        with pytest.raises(TypeError):
+            emit([1.0, 2.0, 3.0, 4.0, 5.0], fmt)
+
+    def test_row_as_a_list_is_written_in_json_only(self):
+        row = [2.0, 1.0, 0.0, 0.5, 28.64788975654116]
+        with pytest.raises(TypeError):
+            emit([row])
+        assert emit([row], "json") == emit([tuple(row)], "json")
+
     def test_precision_of_formatted_values(self):
         # .16e keeps 17 significant digits, enough to reconstruct the double
         v = math.pi * 1e-3
