@@ -35,12 +35,12 @@ _REST = itemgetter(slice(1, None))
 
 # A process keeps the points of its last _CACHED_GRIDS swept grids of at most
 # _CACHED_GRID_POINTS points (_kept_points), and the texts of its last
-# _CACHED_GRIDS such omega columns in a format (_kept_texts): under 5.5 MB as
-# tracemalloc counts it.  The worst case is 8 lists of 4096 doubles (1.05 MB)
-# and 8 columns of 4096 JSON omega texts of up to 41 characters, each keyed
-# by doubles of its own (4.2 MB).  A kept grid also keeps the omega**e columns
-# its sweeps compute, up to _COLUMN_DOUBLES doubles: under 2.2 MB more, as
-# 8 grids of 8 array('d') columns of 4096 doubles are 2 MiB.
+# _CACHED_GRIDS such omega columns, CSV's and JSON's together (_kept_texts):
+# under 5.5 MB as tracemalloc counts it.  The worst case is 8 lists of 4096
+# doubles (1.05 MB) and 8 columns of 4096 JSON omega texts of up to 41
+# characters, each keyed by doubles of its own (4.2 MB).  A kept grid also keeps
+# the omega**e columns its sweeps compute, up to _COLUMN_DOUBLES doubles: under
+# 2.2 MB more, as 8 grids of 8 array('d') columns of 4096 doubles are 2 MiB.
 _CACHED_GRIDS = 8
 _CACHED_GRID_POINTS = 4096
 _COLUMN_DOUBLES = 2**15

@@ -271,16 +271,16 @@ _SQRT_DBL_MIN = 2.0**-511
 
 def _poly_on(p: FracPoly, omegas: list[float], columns: dict) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
-    gains (c * x) * j**e, Table I's magnitude times phasor, one term at a
-    time.  x = omega**e is read from columns[e], the store of omega**e columns
-    over omegas, or computed and stored there; either way it is the same double.
-    For |c| > 1 the term is (c/2 * x) * (2 * j**e): exact scalings, so
-    c/2 * x overflows only where the term does.  c * x is subnormal where
-    x < DBL_MIN / |c|, and j**e would round it a second time.  For |c|
-    below sqrt(DBL_MIN) = 2**-511 that bound is above 2**-511, and 2**52
-    for the least subnormal c, so such a term is c * (x * j**e), whose one
-    rounding into the subnormal range is the last; for any other c it is
-    below 2**-511.  An omega**e that overflows stores no column, makes its
+    gains x * (c * j**e), Table I's magnitude times the coefficient's
+    rotated copy, one term at a time.  x = omega**e is read from columns[e],
+    the store of omega**e columns over omegas, or computed and stored there;
+    either way it is the same double.  Each part of c * j**e is at most |c|,
+    so x * (c * j**e) overflows only where a part of the exact term does.  For |c| at
+    least sqrt(DBL_MIN) = 2**-511 a nonzero part of c * j**e is a normal
+    double unless e < 2**-511, and then x is exactly 1.0: the term's one
+    rounding into the subnormal range is its last.  A smaller c * j**e can
+    be subnormal, and x would round it a second time, so such a term is
+    c * (x * j**e).  An omega**e that overflows stores no column, makes its
     omega's sum infinite and the column of sums is redone one omega at a
     time, so no other omega's value changes."""
     acc = [0j] * len(omegas)
@@ -293,9 +293,8 @@ def _poly_on(p: FracPoly, omegas: list[float], columns: dict) -> list[complex]:
             if abs(c) < _SQRT_DBL_MIN:
                 acc = [a + c * (x * jj) for a, x in zip(acc, xs)]
                 continue
-            if abs(c) > 1.0:
-                c, jj = c * 0.5, jj + jj
-            acc = [a + c * x * jj for a, x in zip(acc, xs)]
+            cj = c * jj
+            acc = [a + x * cj for a, x in zip(acc, xs)]
     except OverflowError:
         if len(omegas) == 1:
             return [complex(math.inf)]

@@ -191,7 +191,8 @@ class TestMain:
 
     def test_term_whose_real_product_overflows_evaluates(self, capsysbinary):
         # c * omega**0.5 = 1.5e308 * 2**0.5 is beyond a double at omega = 2,
-        # but each part of the term, 1.5e308 * (1 + j), is not.
+        # but each part of the term omega**0.5 * (c * j**0.5), 1.5e308 * (1 + j),
+        # is not.
         argv = ["--tf", "1.5e308*s^0.5/s", "--wmin", "1", "--wmax", "2", "--ppd", "1"]
         code, out, err = run_main(argv, capsysbinary)
         assert (code, err) == (EXIT_OK, "")
@@ -538,6 +539,20 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
+
+    def test_package_imports_only_the_standard_library(self):
+        # No runtime dependency: every public name and the command line load
+        # only the standard library and fracfreq, whatever else is installed.
+        code = (
+            "import sys; before = set(sys.modules); import fracfreq, fracfreq.cli; "
+            "[getattr(fracfreq, name) for name in fracfreq.__all__]; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert set(result.stdout.decode().split()) - set(sys.stdlib_module_names) == {"fracfreq"}
 
     def test_run_keeps_no_column(self, tmp_path):
         # The command line evaluates once: N and D share a dict of the call's,

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -38,7 +39,7 @@ from fracfreq import tf as tf_module
 from fracfreq.tf import _h_on, _poly_on
 from helpers import close
 
-DBL_MIN = sys.float_info.min
+DBL_MAX = sys.float_info.max
 
 DECADE_GRID = FrequencyGrid(1.0, 100.0, 1)
 
@@ -291,19 +292,17 @@ def kernel_columns(draw, exponents=kernel_exponents):
 
 
 def in_order_sum(p: FracPoly, omega: float) -> complex:
-    """p at s = j*omega as the sum, in term order, of (c * omega**e) * j**e,
-    with c halved and j**e doubled where |c| > 1, and of c * (omega**e * j**e)
-    where |c| < 2**-511."""
+    """p at s = j*omega as the sum, in term order, of omega**e * (c * j**e),
+    each part a product of floats, and of c * (omega**e * j**e) where
+    |c| < 2**-511."""
     acc = 0j
     try:
         for t in p.terms:
-            c, jj = t.coeff, j_pow(t.exponent)
+            c, x, jj = t.coeff, omega**t.exponent, j_pow(t.exponent)
             if abs(c) < 2.0**-511:
-                acc = acc + c * (omega**t.exponent * jj)
+                acc = acc + c * (x * jj)
                 continue
-            if abs(c) > 1.0:
-                c, jj = c * 0.5, complex(2.0 * jj.real, 2.0 * jj.imag)
-            acc = acc + c * omega**t.exponent * jj
+            acc = complex(acc.real + x * (c * jj.real), acc.imag + x * (c * jj.imag))
     except OverflowError:
         return complex(math.inf)
     return acc
@@ -392,9 +391,9 @@ class TestColumnEvaluation:
     @settings(deadline=None)
     @given(kernel_columns())
     @example((parse_tf("s^400+3*s^2.5").numerator, [0.1, 6.309573444801933, 2.0]))
-    # 1.5e308 * 2**0.5 overflows unless c is halved first.
+    # c * omega**e = 1.5e308 * 2**0.5 overflows; each part of the term, 1.5e308 * (1 + j), does not.
     @example((parse_tf("1.5e308*s^0.5").numerator, [1.0, 2.0]))
-    # c * omega**e first would round into the subnormal range before j**e did.
+    # c * j**e first would round into the subnormal range before omega**e did.
     @example((FracPoly.from_terms([FracTerm(2.225073858507e-311, 0.5)]), [0.00390625, 1.0]))
     def test_column_is_the_in_order_sum_bit_for_bit(self, column):
         p, omegas = column
@@ -408,31 +407,32 @@ class TestColumnEvaluation:
     @example((parse_tf("-3*s^2+1e300*s^101+s").numerator, [0.5, 1e3, 1.0]))
     @example((parse_tf("1.25*s").numerator, [5e-324, 1.0]))
     def test_integer_exponents_keep_the_phasor_first_bits(self, column):
-        # j**e is an exact quarter turn, so both orders round only c * omega**e,
-        # once.  Where the phasor-first sum overflows, the kernel's may be nan
-        # instead of inf; where c/2 * omega**e is subnormal, the halving can
-        # lose its last bit (1.25*s at omega = 5e-324 gives 1e-323j, not 5e-324j).
+        # j**e is an exact quarter turn, so c * j**e is exact and both orders
+        # round only c * omega**e, once.  Where the phasor-first sum overflows,
+        # the kernel's may be nan instead of inf.
         p, omegas = column
         for z, omega in zip(_poly_on(p, omegas, {}), omegas):
             want = phasor_first_sum(p, omega)
             if not (math.isfinite(want.real) and math.isfinite(want.imag)):
                 continue
-            sizes = [abs(t.coeff) * omega**t.exponent for t in p.terms]
-            if any(abs(t.coeff) > 1.0 and 0.0 < size < 2.0 * DBL_MIN for t, size in zip(p.terms, sizes)):
-                # One ulp(0) in that term, and then at most one ulp of a partial sum per addition.
-                assert abs(z - want) <= 2 * len(sizes) * math.ulp(sum(sizes)), omega
-                continue
             assert bits(z) == bits(want), omega
 
     @given(big_terms())
-    def test_halved_term_equals_unhalved_bit_for_bit(self, term):
-        # (c/2 * w) * (2 * j**e) rounds the same reals as (c * w) * j**e, so
-        # the two agree to the bit unless c/2 * w is subnormal or c * w overflows.
+    # c * omega**e overflows, the parts 1.5e308 * (1 + j) do not.
+    @example((1.5e308, 0.5, 2.0))
+    def test_term_overflows_only_where_a_part_does(self, term):
+        # The kernel rounds each exact part of c * omega**e * j**e, with omega**e
+        # and j**e the doubles it reads, twice: by less than 2**-51 relative, so
+        # a term whose parts are 2**-50 below DBL_MAX stays finite, and one with
+        # a part 2**-50 above it does not.
         c, e, omega = term
-        whole = c * omega**e
-        assume(math.isfinite(whole) and abs(whole) * 0.5 >= DBL_MIN)
         (z,) = _poly_on(FracPoly((FracTerm(c, e),)), [omega], {})
-        assert bits(z) == bits(0j + whole * j_pow(e))
+        x, jj = Fraction(omega**e), j_pow(e)
+        parts = [abs(Fraction(c) * x * Fraction(part)) for part in (jj.real, jj.imag)]
+        if max(parts) <= DBL_MAX * (1 - Fraction(1, 2**50)):
+            assert math.isfinite(z.real) and math.isfinite(z.imag)
+        if max(parts) > DBL_MAX * (1 + Fraction(1, 2**50)):
+            assert not (math.isfinite(z.real) and math.isfinite(z.imag))
 
     def test_overflow_makes_only_its_own_omega_infinite(self):
         den = parse_tf("1/(s^400+1)").denominator

@@ -596,12 +596,12 @@ class TestKernelAgainstOracle:
 
 class TestKernelAgainstDecimalReference:
     @given(kernel_polys, kernel_polys.filter(lambda p: not p.is_zero()), kernel_omegas)
-    # A subnormal coefficient: c * omega**e is formed before j**e joins it.
+    # A subnormal coefficient: it joins omega**e * j**e last.
     @example(parse_tf("5e-324*s^0.5").numerator, FracPoly.constant(1.0), 1e300)
     def test_eval_tf_within_conditioned_bound(self, num, den, omega):
-        # Each term (c*omega**e) * j**e carries 8 roundings u in norm
+        # Each term omega**e * (c*j**e) carries 8 roundings u in norm
         # (omega**e 1, j**e 3, two products 2, sqrt(2) for a complex norm;
-        # halving c and doubling j**e for |c| > 1 is exact),
+        # c * (omega**e * j**e) for |c| < 2**-511 is two products too),
         # a sum of m terms m - 1 more and Smith's division 4, so with
         # cond = sum|n_k w**e_k| / |N| + sum|d_k w**e_k| / |D| (Higham,
         # ch. 4), |H - ref| <= k*u*cond*|ref| for k = 12 + m_N + m_D,
