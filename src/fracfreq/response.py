@@ -83,27 +83,22 @@ class FrequencyGrid(Value):
         endpoints exact, non-decreasing: on a grid narrower than the rounding of log10
         omega they may repeat, and an interior one that rounds past an endpoint is clamped.
 
-        Computed on every call, a new list; only a sweep reads the kept points (_kept)."""
-        return _points(*self)
+        The one computation of them, a new list on every call; a sweep takes _kept()'s."""
+        lo, hi, ppd = self
+        lg0, lg1, intervals = _log_span(lo, hi, ppd)
+        span, out = lg1 - lg0, [lo]
+        for i in range(1, intervals):
+            w = 10.0 ** (lg0 + span * i / intervals)
+            out.append(w if lo <= w <= hi else lo if w < lo else hi)
+        out.append(hi)
+        return out
 
     def _kept(self) -> tuple[list[float], dict]:
         """The points, never handed out, and omega**e column store for a sweep: the
-        process's kept pair up to _CACHED_GRID_POINTS points, else a new list and dict."""
-        lo, hi, ppd = self
-        if _log_span(lo, hi, ppd)[2] + 1 <= _CACHED_GRID_POINTS:
-            return _kept_points(lo, hi, ppd)
-        return _points(lo, hi, ppd), {}
-
-
-def _points(lo: float, hi: float, ppd: int) -> list[float]:
-    """FrequencyGrid(lo, hi, ppd).points(), computed."""
-    lg0, lg1, intervals = _log_span(lo, hi, ppd)
-    span, out = lg1 - lg0, [lo]
-    for i in range(1, intervals):
-        w = 10.0 ** (lg0 + span * i / intervals)
-        out.append(w if lo <= w <= hi else lo if w < lo else hi)
-    out.append(hi)
-    return out
+        process's kept pair up to _CACHED_GRID_POINTS points, else points() and a new dict."""
+        if _log_span(*self)[2] + 1 <= _CACHED_GRID_POINTS:
+            return _kept_points(*self)
+        return self.points(), {}
 
 
 class _Columns(dict):
@@ -122,8 +117,8 @@ class _Columns(dict):
 
 @functools.lru_cache(maxsize=_CACHED_GRIDS)
 def _kept_points(lo: float, hi: float, ppd: int) -> tuple[list[float], _Columns]:
-    """_points(lo, hi, ppd) and an empty store for their columns."""
-    return _points(lo, hi, ppd), _Columns()
+    """points() of the grid with checked fields (lo, hi, ppd), and an empty store."""
+    return tuple.__new__(FrequencyGrid, (lo, hi, ppd)).points(), _Columns()
 
 
 def rows(
@@ -150,10 +145,10 @@ def emit(values: Iterable[tuple], format: str = "csv") -> bytes:
     that are such rows; format is "csv" or "json".
 
     CSV is the header line and one line per row, every value with 17
-    significant digits, each line feed terminated.  JSON is an array of
-    objects keyed like the CSV columns, each number unquoted and the shortest
-    repr that reads back to the same double, the -inf dB of a zero response
-    as -Infinity: the bytes of json.dumps(..., indent=2) plus a line feed.
+    significant digits, each line feed terminated.  JSON is json.dumps(...,
+    indent=2) and a line feed: an array of objects keyed like the CSV columns,
+    each number the shortest repr that reads back to it, -inf as -Infinity,
+    but a raw row's +inf or NaN as bare inf or nan (ROADMAP item 7).
 
     Each line is its omega's text and then the other four values.  The
     omega texts of a column of at most _CACHED_GRID_POINTS doubles, all > 0

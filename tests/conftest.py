@@ -1,4 +1,4 @@
 from hypothesis import settings
 
-# The kernel's properties at 2,000 examples each: pytest --hypothesis-profile=kernel
+# The kernel's and grid caches' properties at 2,000 examples each: pytest --hypothesis-profile=kernel
 settings.register_profile("kernel", max_examples=2000, deadline=None)

@@ -749,6 +749,31 @@ class TestGridCaches:
         assert first[0] is second[0] and first[1] is second[1]
         assert first[0] == grid.points()
 
+    @settings(deadline=None)
+    @given(small_grids)
+    @example(grid_of(response._CACHED_GRID_POINTS - 1))
+    @example(grid_of(response._CACHED_GRID_POINTS))
+    @example(grid_of(response._CACHED_GRID_POINTS + 1))
+    def test_kept_points_are_the_points(self, grid):
+        response._kept_points.cache_clear()
+        omegas, store = grid._kept()
+        fresh = grid.points()
+        assert [w.hex() for w in omegas] == [w.hex() for w in fresh]
+        assert omegas is not fresh
+        fresh.append(-1.0)
+        assert grid._kept()[0] == grid.points() != fresh
+        kept = len(omegas) <= response._CACHED_GRID_POINTS
+        assert response._kept_points.cache_info().currsize == int(kept)
+        again = grid._kept()
+        assert (again[0] is omegas and again[1] is store) == kept
+        assert type(store) is (response._Columns if kept else dict)
+
+    def test_int_and_float_bounds_share_one_kept_pair(self, cold):
+        ints, floats = FrequencyGrid(1, 100, 2)._kept(), FrequencyGrid(1.0, 100.0, 2)._kept()
+        assert ints[0] is floats[0] and ints[1] is floats[1]
+        assert ints[0] == FrequencyGrid(1, 100, 2).points() == [1.0, 10**0.5, 10.0, 10**1.5, 100.0]
+        assert response._kept_points.cache_info().currsize == 1
+
     def test_larger_grid_gets_a_fresh_pair_each_call(self, cold):
         grid = grid_of(response._CACHED_GRID_POINTS + 1)
         first, second = grid._kept(), grid._kept()
