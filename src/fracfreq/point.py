@@ -1,12 +1,12 @@
 """ResponsePoint, the library's record of one frequency sample, and sweep
-and response_at, which turn response.py's rows into records.
+and response_at, which have response.py's rows build ResponsePoints, not tuples.
 
 A ResponsePoint is its row: a record (_value.Value) and a frozen dataclass.
 ResponsePoint(...), dataclasses.replace, copy and pickle check each field
-with _value.real; sweep and response_at build it by one tuple.__new__,
-trusting rows's doubles (a grid or checked omega, a finite |h|, its dB or
--inf, atan2 of finite parts).  The command line uses rows alone: it imports
-no dataclasses.
+with _value.real; rows builds it by one tuple.__new__ per point, trusting
+its own doubles (a grid or checked omega, a finite |h|, its dB or -inf,
+atan2 of finite parts), so no row is copied.  The command line uses rows of
+plain tuples: it imports no dataclasses.
 """
 
 import math
@@ -54,7 +54,7 @@ del _field
 
 def response_at(tf: FracTF, omega: float) -> ResponsePoint:
     """The ResponsePoint of tf at one frequency; EvaluationError as sweep."""
-    return tuple.__new__(ResponsePoint, rows(tf, [real(omega, *OMEGA)])[0])
+    return rows(tf, [real(omega, *OMEGA)], None, ResponsePoint)[0]
 
 
 def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
@@ -63,4 +63,4 @@ def sweep(tf: FracTF, grid: FrequencyGrid) -> list[ResponsePoint]:
     omega**e columns are read, and filled, in place of computing them again."""
     if type(grid) is not FrequencyGrid:
         raise ValueError(f"grid must be a FrequencyGrid, got {type(grid).__name__}")
-    return [tuple.__new__(ResponsePoint, row) for row in rows(tf, *grid._kept())]
+    return rows(tf, *grid._kept(), ResponsePoint)

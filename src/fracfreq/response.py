@@ -12,7 +12,7 @@ from _thread import allocate_lock
 from operator import add, itemgetter
 
 from ._value import TINY, Value, count, real
-from .tf import FracTF, _h_on
+from .tf import FracTF, _records, _sums
 
 CSV_HEADER = "omega,mag_linear,mag_db,phase_rad,phase_deg"
 
@@ -122,22 +122,14 @@ def _kept_points(lo: float, hi: float, ppd: int) -> tuple[list[float], _Columns]
 
 
 def rows(
-    tf: FracTF, omegas: list[float], columns: dict | None = None
-) -> list[tuple[float, float, float, float, float]]:
+    tf: FracTF, omegas: list[float], columns: dict | None = None, record: type = tuple
+) -> list:
     """(omega, |h|, its dB or -inf, principal phase in rad and deg) for each omega,
     each already a positive finite float; tf.EvaluationError at the first bad omega.
-    columns: a store of omega**e columns over omegas (tf._h_on), or None for a new one."""
-    out = []
-    for omega, (h, mag) in zip(omegas, _h_on(tf, omegas, {} if columns is None else columns)):
-        if mag == 0.0:
-            out.append((omega, mag, -math.inf, 0.0, 0.0))
-            continue
-        # complexmath.argument's fold of -pi to pi, inline: no Python call per point.
-        phase = math.atan2(h.imag, h.real)
-        # + 0.0 turns a -0.0 (an imaginary part of -0.0) into +0.0, and no other bit.
-        phase = (math.pi if phase == -math.pi else phase) + 0.0
-        out.append((omega, mag, 20.0 * math.log10(mag), phase, math.degrees(phase)))
-    return out
+    columns: a store of omega**e columns over omegas (tf._sums), or None for a new
+    one.  Each row is built as tuple.__new__(record, ...) (tf._records): a plain
+    tuple, or the ResponsePoint that sweep and response_at ask for."""
+    return _records(omegas, *_sums(tf, omegas, {} if columns is None else columns), record)
 
 
 def emit(values: Iterable[tuple], format: str = "csv") -> bytes:

@@ -272,7 +272,7 @@ _SQRT_DBL_MIN = 2.0**-511
 def _poly_on(p: FracPoly, omegas: list[float], columns: dict) -> list[complex]:
     """p at s = j*omega for each omega, term-major: the column of sums
     gains x * (c * j**e), Table I's magnitude times the coefficient's
-    rotated copy, one term at a time.  x = omega**e is read from columns[e],
+    rotated copy, term by term in order.  x = omega**e is read from columns[e],
     the store of omega**e columns over omegas, or computed and stored there;
     either way it is the same double.  Each part of c * j**e is at most |c|,
     so x * (c * j**e) overflows only where a part of the exact term does.  For |c| at
@@ -280,21 +280,35 @@ def _poly_on(p: FracPoly, omegas: list[float], columns: dict) -> list[complex]:
     double unless e < 2**-511, and then x is exactly 1.0: the term's one
     rounding into the subnormal range is its last.  A smaller c * j**e can
     be subnormal, and x would round it a second time, so such a term is
-    c * (x * j**e).  An omega**e that overflows stores no column, makes its
-    omega's sum infinite and the column of sums is redone one omega at a
-    time, so no other omega's value changes."""
-    acc = [0j] * len(omegas)
+    c * (x * j**e).  Two adjacent terms of the larger kind share one pass,
+    a + x * cj + y * cj2, which Python evaluates as (a + x * cj) + y * cj2:
+    the sums of two passes, bit for bit.  A smaller term, and a last odd
+    term, take a pass of their own.  An omega**e that overflows stores no column,
+    makes its omega's sum infinite and the column of sums is redone one
+    omega at a time, so no other omega's value changes."""
+    acc, terms, k = [0j] * len(omegas), p.terms, 0
     try:
-        for c, e in p.terms:
-            jj = j_pow(e)
+        while k < len(terms):
+            c, e = terms[k]
             xs = columns.get(e)
             if xs is None:
                 xs = columns[e] = [w**e for w in omegas]
+            k += 1
             if abs(c) < _SQRT_DBL_MIN:
+                jj = j_pow(e)
                 acc = [a + c * (x * jj) for a, x in zip(acc, xs)]
                 continue
-            cj = c * jj
-            acc = [a + x * cj for a, x in zip(acc, xs)]
+            cj = c * j_pow(e)
+            if k == len(terms) or abs(terms[k].coeff) < _SQRT_DBL_MIN:
+                acc = [a + x * cj for a, x in zip(acc, xs)]
+                continue
+            c, e = terms[k]
+            ys = columns.get(e)
+            if ys is None:
+                ys = columns[e] = [w**e for w in omegas]
+            k += 1
+            cj2 = c * j_pow(e)
+            acc = [a + x * cj + y * cj2 for a, x, y in zip(acc, xs, ys)]
     except OverflowError:
         if len(omegas) == 1:
             return [complex(math.inf)]
@@ -309,38 +323,52 @@ def eval_poly(p: FracPoly, omega: float) -> Complex:
     return eval_tf(FracTF(p, _ONE), omega)
 
 
-def _h_on(tf: FracTF, omegas: list[float], columns: dict) -> list[tuple[complex, float]]:
-    """(h, |h|) for each omega, h = N(j*omega)/D(j*omega) as a builtin complex.
+def _sums(tf: FracTF, omegas: list[float], columns: dict) -> tuple[list[complex], list[complex]]:
+    """N(j*omega) and D(j*omega) for each omega, one store of omega**e columns
+    over omegas read and filled by both (_poly_on).  ValueError when tf is not
+    a FracTF.  Each omega must already be a positive finite float: callers
+    convert it."""
+    if type(tf) is not FracTF:
+        raise ValueError(f"tf must be a FracTF, got {type(tf).__name__}")
+    numerator, denominator = tf
+    return _poly_on(numerator, omegas, columns), _poly_on(denominator, omegas, columns)
 
-    N and D read and fill columns, one store of omega**e columns over omegas
-    (_poly_on).  ValueError when tf is not a FracTF.
+
+def _records(omegas: list[float], ns: list[complex], ds: list[complex], record: type) -> list:
+    """tuple.__new__(record, (omega, |h|, its dB or -inf, principal phase in rad
+    and deg)) for each omega and its sums n and d, h = n/d.
 
     CPython's complex division is Smith's scaled method and never forms
     |D|**2.  |h| is math.hypot's, not abs(h): they differ in the last bit
     on ~0.6% of values, and hypot's are the bytes of earlier versions.
     Raises EvaluationError at the first omega, in the order given, where
-    |D| is below DBL_MIN, or where an omega**e, |D| or |N/D| is not
-    finite.  Each omega must already be a positive finite float: callers
-    convert it.
+    |D| is below DBL_MIN, or where an omega**e, |D| or |N/D| is not finite.
     """
-    if type(tf) is not FracTF:
-        raise ValueError(f"tf must be a FracTF, got {type(tf).__name__}")
     out = []
-    numerator, denominator = tf
-    sums = zip(
-        omegas, _poly_on(numerator, omegas, columns), _poly_on(denominator, omegas, columns)
+    # Bound once, not looked up at every point.
+    append, new, hypot, atan2, log10, degrees = (
+        out.append, tuple.__new__, math.hypot, math.atan2, math.log10, math.degrees
     )
-    for omega, n, d in sums:
-        d_mag = math.hypot(d.real, d.imag)
-        if not d_mag < math.inf:  # inf or nan
+    inf, pi = math.inf, math.pi
+    for omega, n, d in zip(omegas, ns, ds):
+        d_mag = hypot(d.real, d.imag)
+        if not d_mag < inf:  # inf or nan
             raise EvaluationError("a value overflows", omega)
         if d_mag < DBL_MIN:
             raise EvaluationError("denominator vanishes", omega)
         h = n / d
-        mag = math.hypot(h.real, h.imag)
-        if not mag < math.inf:
+        h_re, h_im = h.real, h.imag
+        mag = hypot(h_re, h_im)
+        if not mag < inf:
             raise EvaluationError("a value overflows", omega)
-        out.append((h, mag))
+        if mag == 0.0:
+            append(new(record, (omega, mag, -inf, 0.0, 0.0)))
+            continue
+        # complexmath.argument's fold of -pi to pi, inline: no Python call per point.
+        phase = atan2(h_im, h_re)
+        # + 0.0 turns a -0.0 (an imaginary part of -0.0) into +0.0, and no other bit.
+        phase = (pi if phase == -pi else phase) + 0.0
+        append(new(record, (omega, mag, 20.0 * log10(mag), phase, degrees(phase))))
     return out
 
 
@@ -350,5 +378,8 @@ def eval_tf(tf: FracTF, omega: float) -> Complex:
     Raises EvaluationError (carrying omega) when the denominator's
     magnitude is zero or subnormal, or a value overflows.
     """
-    ((h, _),) = _h_on(tf, [real(omega, *OMEGA)], {})
+    omegas = [real(omega, *OMEGA)]
+    ns, ds = _sums(tf, omegas, {})
+    _records(omegas, ns, ds, tuple)
+    h = ns[0] / ds[0]
     return Complex(h.real, h.imag)

@@ -36,7 +36,7 @@ from fracfreq.complexmath import j_pow
 from fracfreq import response
 from fracfreq.response import MAX_GRID_POINTS, emit, rows
 from fracfreq import tf as tf_module
-from fracfreq.tf import _h_on, _poly_on
+from fracfreq.tf import _poly_on
 from helpers import close
 
 DBL_MAX = sys.float_info.max
@@ -359,11 +359,12 @@ class TestColumnEvaluation:
             return
         assert first_eval_error(tf, omegas) is None
         # repr tells -0.0 from 0.0 and shows every bit of a double.
-        for row, (h, mag), omega in zip(got, _h_on(tf, omegas, {}), omegas, strict=True):
+        for row, omega in zip(got, omegas, strict=True):
             assert repr(row) == repr(dataclasses.astuple(response_at(tf, omega)))
-            point = eval_tf(tf, omega)
+            ((n,), (d,)) = (_poly_on(side, [omega], {}) for side in tf)
+            h, point = n / d, eval_tf(tf, omega)
             assert repr(complex(point.re, point.im)) == repr(h)
-            assert row[1] == mag
+            assert repr(row[1]) == repr(math.hypot(h.real, h.imag))
 
     @pytest.mark.parametrize(
         "text, grid, message, omega",
@@ -395,6 +396,17 @@ class TestColumnEvaluation:
     @example((parse_tf("1.5e308*s^0.5").numerator, [1.0, 2.0]))
     # c * j**e first would round into the subnormal range before omega**e did.
     @example((FracPoly.from_terms([FracTerm(2.225073858507e-311, 0.5)]), [0.00390625, 1.0]))
+    # Two terms per pass: a pair whose second term has |c| < 2**-511 takes two
+    # passes of one term, and so does a tiny term between two normal ones.  The
+    # real parts are whole numbers, so each imaginary part is the tiny term's,
+    # whose bits differ where it is x * (c * j**e).
+    @example((parse_tf("s^2+2.225073858507e-311*s^1.5").numerator, [0.5, 2.0, 3.0]))
+    @example((parse_tf("s^2+2.225073858507e-311*s^1.5+4").numerator, [0.5, 2.0, 3.0]))
+    # 1, 2, 3 and 5 terms: no pair, one pair, a pair and a last odd term, two pairs and one.
+    @example((parse_tf("-2.5*s^0.3").numerator, [0.01, 1.0, 7.5]))
+    @example((parse_tf("-2.5*s^0.3+1.25").numerator, [0.01, 1.0, 7.5]))
+    @example((parse_tf("s^2.7-2.5*s^0.3+1.25").numerator, [0.01, 1.0, 7.5]))
+    @example((parse_tf("0.1*s^4.5+3*s^3+s^2.7-2.5*s^0.3+1.25").numerator, [0.01, 1.0, 7.5]))
     def test_column_is_the_in_order_sum_bit_for_bit(self, column):
         p, omegas = column
         got = _poly_on(p, omegas, {})
@@ -464,6 +476,8 @@ class TestRecordBuilder:
     # Zero responses: at omega = 1 only, and everywhere.
     @example(*tf_grid("s^4-1", 0.1, 10.0, 1))
     @example(*tf_grid("s^2-s^2", 0.1, 10.0, 1))
+    # A pair of terms on each side, and a tiny term between two normal ones.
+    @example(*tf_grid("(3*s^1.5+1e-160*s^0.5+2)/(s^1.2+4*s^0.7)", 0.1, 10.0, 3))
     def test_sweep_records_equal_checked_records(self, num, den, grid):
         assume(not den.is_zero())
         tf = FracTF(num, den)
@@ -475,7 +489,10 @@ class TestRecordBuilder:
         assert len(got) == len(expected)
         for record, row in zip(got, expected):
             checked = ResponsePoint(*row)
+            assert type(row) is tuple
             assert type(record) is ResponsePoint
+            single = response_at(tf, row[0])
+            assert type(single) is ResponsePoint and hexes(single) == hexes(checked)
             assert hexes(record) == hexes(checked) == [float.hex(v) for v in row]
             assert [f.name for f in dataclasses.fields(record)] == CSV_HEADER.split(",")
             assert tuple(record) == tuple(checked) == row
