@@ -14,8 +14,8 @@ import os
 import re
 import sys
 
-from .response import FORMATS, FrequencyGrid, emit, rows
-from .tf import EvaluationError, ParseError, parse_tf
+from .response import FORMATS, FrequencyGrid, emit
+from .tf import EvaluationError, ParseError, parse_tf, rows
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2

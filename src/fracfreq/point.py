@@ -1,5 +1,5 @@
 """ResponsePoint, the library's record of one frequency sample, and sweep
-and response_at, which have response.py's rows build ResponsePoints, not tuples.
+and response_at, which have tf.py's rows build ResponsePoints, not tuples.
 
 A ResponsePoint is its row: a record (_value.Value) and a frozen dataclass.
 ResponsePoint(...), dataclasses.replace, copy and pickle check each field
@@ -13,8 +13,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from ._value import OMEGA, Value, real
-from .response import FrequencyGrid, rows
-from .tf import FracTF
+from .response import FrequencyGrid
+from .tf import FracTF, rows
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -1,4 +1,4 @@
-"""Logarithmic frequency grids, Bode-data rows and their bytes (CSV / JSON).
+"""Logarithmic frequency grids and the bytes (CSV / JSON) of Bode-data rows.
 
 The grid is exactly log-spaced with both endpoints pinned to the
 configured values.  Output is deterministic: identical inputs produce
@@ -12,7 +12,6 @@ from _thread import allocate_lock
 from operator import add, itemgetter
 
 from ._value import TINY, Value, count, real
-from .tf import FracTF, _records, _sums
 
 CSV_HEADER = "omega,mag_linear,mag_db,phase_rad,phase_deg"
 
@@ -121,19 +120,8 @@ def _kept_points(lo: float, hi: float, ppd: int) -> tuple[list[float], _Columns]
     return tuple.__new__(FrequencyGrid, (lo, hi, ppd)).points(), _Columns()
 
 
-def rows(
-    tf: FracTF, omegas: list[float], columns: dict | None = None, record: type = tuple
-) -> list:
-    """(omega, |h|, its dB or -inf, principal phase in rad and deg) for each omega,
-    each already a positive finite float; tf.EvaluationError at the first bad omega.
-    columns: a store of omega**e columns over omegas (tf._sums), or None for a new
-    one.  Each row is built as tuple.__new__(record, ...) (tf._records): a plain
-    tuple, or the ResponsePoint that sweep and response_at ask for."""
-    return _records(omegas, *_sums(tf, omegas, {} if columns is None else columns), record)
-
-
 def emit(values: Iterable[tuple], format: str = "csv") -> bytes:
-    """Serialize an iterable of rows like rows's doubles, or of the ResponsePoints
+    """Serialize an iterable of rows like tf.rows's doubles, or of the ResponsePoints
     that are such rows; format is "csv" or "json".
 
     CSV is the header line and one line per row, every value with 17

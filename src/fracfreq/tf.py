@@ -318,9 +318,9 @@ def _poly_on(p: FracPoly, omegas: list[float], columns: dict) -> list[complex]:
 
 def eval_poly(p: FracPoly, omega: float) -> Complex:
     """Value of the polynomial at s = j*omega: eval_tf of p/1, its value and EvaluationErrors."""
-    if type(p) is not FracPoly:  # FracTF's own check would name the numerator
+    if type(p) is not FracPoly:  # the only check: the pair is built unchecked
         raise ValueError(f"p must be a FracPoly, got {type(p).__name__}")
-    return eval_tf(FracTF(p, _ONE), omega)
+    return eval_tf(tuple.__new__(FracTF, (p, _ONE)), omega)
 
 
 def _sums(tf: FracTF, omegas: list[float], columns: dict) -> tuple[list[complex], list[complex]]:
@@ -370,6 +370,14 @@ def _records(omegas: list[float], ns: list[complex], ds: list[complex], record: 
         phase = (pi if phase == -pi else phase) + 0.0
         append(new(record, (omega, mag, 20.0 * log10(mag), phase, degrees(phase))))
     return out
+
+
+def rows(
+    tf: FracTF, omegas: list[float], columns: dict | None = None, record: type = tuple
+) -> list:
+    """_records over _sums, with a new store of omega**e columns when columns is
+    None; record is tuple, or the ResponsePoint that sweep and response_at ask for."""
+    return _records(omegas, *_sums(tf, omegas, {} if columns is None else columns), record)
 
 
 def eval_tf(tf: FracTF, omega: float) -> Complex:

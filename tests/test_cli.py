@@ -573,8 +573,8 @@ class TestEntryPoint:
         assert len((tmp_path / "out.csv").read_bytes().splitlines()) == 1 + 81
 
     def test_response_import_loads_no_records(self):
-        # The rows-and-bytes layer never needs the records or their dataclass.
-        forbidden = {"dataclasses", "fracfreq.point"}
+        # The grid-and-bytes layer needs no records, no dataclass and no parser.
+        forbidden = {"dataclasses", "fracfreq.complexmath", "fracfreq.point", "fracfreq.tf"}
         code = (
             "import sys; before = set(sys.modules); import fracfreq.response; "
             f"print(sorted((set(sys.modules) - before) & {forbidden!r}))"

@@ -34,9 +34,9 @@ from fracfreq import (
 )
 from fracfreq.complexmath import j_pow
 from fracfreq import response
-from fracfreq.response import MAX_GRID_POINTS, emit, rows
+from fracfreq.response import MAX_GRID_POINTS, emit
 from fracfreq import tf as tf_module
-from fracfreq.tf import _poly_on
+from fracfreq.tf import _poly_on, rows
 from helpers import close
 
 DBL_MAX = sys.float_info.max

@@ -33,7 +33,7 @@ from fracfreq import (
     response_at,
     sweep,
 )
-from fracfreq.response import rows
+from fracfreq.tf import rows
 from helpers import REFERENCE, close, complex_close, decimal_poly
 
 
