@@ -54,9 +54,10 @@ class Value(tuple):
     each field is a read-only property of its index.  A record iterates,
     indexes, takes ``len`` and orders as its tuple, and its hash is the
     tuple's, but ``==`` holds only between records of the same class.
-    Assignment and deletion raise AttributeError.  Each subclass's
-    ``__new__`` checks its arguments and ends in
-    ``tuple.__new__(cls, fields)``; copy and pickle rebuild through it.
+    Assignment and deletion raise AttributeError; ``__setattr__`` also
+    refuses ``record.__class__ = Other``, which the records' one tuple
+    layout allows.  Each subclass's ``__new__`` checks its arguments and
+    ends in ``tuple.__new__(cls, fields)``; copy and pickle rebuild through it.
     Builds from values already checked, as the parser's, call
     ``tuple.__new__`` themselves.
     """

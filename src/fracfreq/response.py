@@ -175,7 +175,7 @@ def _omega_texts(column: tuple, template: str) -> Iterable[str]:
     their values are equal but not alike: -0.0 and 0.0, or 1 and 1.0 under %s.
     """
     if (
-        0 < len(column) <= _CACHED_GRID_POINTS
+        len(column) <= _CACHED_GRID_POINTS
         and set(map(type, column)) == {float}
         and min(column) > 0.0
     ):

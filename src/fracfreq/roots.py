@@ -83,9 +83,8 @@ def pow_branch(s: Complex, alpha: float, k: int) -> Complex:
 def principal_pow(s: Complex, alpha: float) -> Complex:
     """Branch 0 of s**alpha, |s|**alpha * [cos(alpha*phi) + j*sin(alpha*phi)].
 
-    Accepts any finite alpha >= 0 (alpha = 0 gives 1 for every nonzero
-    s), which is what the transfer-function evaluator needs for terms
-    like s**1.2.
+    Any finite alpha >= 0 (alpha = 0 gives 1 for every nonzero s): the
+    polar reference that the closed forms and the tests are checked against.
     """
     alpha = real(alpha, "exponent must be finite and >= 0", 0.0)
     return _powers(s, alpha, (0,))[0]

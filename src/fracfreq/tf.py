@@ -390,4 +390,5 @@ def eval_tf(tf: FracTF, omega: float) -> Complex:
     ns, ds = _sums(tf, omegas, {})
     _records(omegas, ns, ds, tuple)
     h = ns[0] / ds[0]
-    return Complex(h.real, h.imag)
+    # _records refused a non-finite |h|, so both parts are finite.
+    return tuple.__new__(Complex, (h.real, h.imag))

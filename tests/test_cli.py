@@ -141,8 +141,10 @@ class TestMain:
         monkeypatch.setattr(sys, "stderr", ClosedDescriptor() if broken == "raises" else None)
         assert main(argv) == code
 
-    def test_parse_error_exit_and_offset(self, capsysbinary):
-        code, out, err = run_main(["--tf", "s^"], capsysbinary)
+    # A term cut short, and a denominator that the parser finds to be zero.
+    @pytest.mark.parametrize("text", ["s^", "1/(s-s)"])
+    def test_parse_error_exit_and_offset(self, text, capsysbinary):
+        code, out, err = run_main(["--tf", text], capsysbinary)
         assert code == EXIT_PARSE_ERROR
         assert out == b""
         assert "offset 2" in err
@@ -164,10 +166,8 @@ class TestMain:
 
     def test_eval_error_at_quarter_turn_pole(self, capsysbinary):
         argv = ["--tf", "1/(s^2+1)", "--wmin", "0.1", "--wmax", "10", "--ppd", "1"]
-        code, out, err = run_main(argv, capsysbinary)
-        assert code == EXIT_EVAL_ERROR
-        assert out == b""
-        assert "omega=1.0" in err
+        line = "fracfreq: error: denominator vanishes at omega=1.0\n"
+        assert run_main(argv, capsysbinary) == (EXIT_EVAL_ERROR, b"", line)
 
     def test_eval_error_at_exponents_two_apart(self, capsysbinary):
         # j**1.5 = -j**3.5 exactly, so D(j) = 0.
@@ -480,6 +480,9 @@ class TestRowPath:
     @settings(deadline=None)
     @given(tf_texts, bounds, bounds, st.integers(1, 3), st.sampled_from(FORMATS))
     @example("--", 1.0, 2.0, 1, "csv")
+    @example("10000/s^0.5", 1.0, 100.0, 1, "json")
+    @example("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)", 0.01, 100.0, 20, "json")
+    @example("s^4-1", 1.0, 10.0, 1, "json")
     def test_main_equals_library_emit(self, text, w1, w2, ppd, fmt):
         # The CLI emits rows without building ResponsePoints; its bytes and
         # its failures must be the library's.

@@ -659,8 +659,11 @@ class TestEmit:
 
     @given(st.lists(POINTS, max_size=4))
     @example([ResponsePoint(1.0, 0.0, -math.inf, 0.0, 0.0)])
+    @example(sweep(parse_tf("10000/s^0.5"), DECADE_GRID))
+    @example(sweep(parse_tf("s^4-1"), FrequencyGrid(1.0, 10.0, 1)))
     def test_json_bytes_equal_json_dumps(self, pts):
-        # The example is a zero response, so -Infinity is always written.
+        # The README's command-line example, and two zero responses, so that
+        # -Infinity is written: s^4-1 is exactly zero at omega = 1 and only there.
         names = CSV_HEADER.split(",")
         objs = [
             dict(zip(names, (p.omega, p.mag_linear, p.mag_db, p.phase_rad, p.phase_deg)))
@@ -879,6 +882,29 @@ def cold_outcome(tf: FracTF, grid: FrequencyGrid, fmt: str) -> bytes | tuple[str
     return outcome(tf, grid, fmt)
 
 
+def with_shared_exponent_examples(test):
+    """test with an example per pair below, grid and format.
+
+    The README's library example and functions sharing its exponents.  The
+    third has an even number of terms on each side, so the kernel adds them
+    two per pass; the fourth has a |c| < 2**-511 term between normal ones,
+    and it and each of them take a pass of their own.  The 5001-point grid
+    is past _CACHED_GRID_POINTS, so each sweep gets a fresh store.
+    """
+    pairs = [
+        ("(3*s^0.5+2)/(s^1.2+4*s^0.7+1)", "(s^0.7+5)/(2*s^1.2+s^0.5+1)"),
+        (
+            "(3*s^1.2+2*s^0.5)/(s^1.7+4*s^1.2+s^0.7+1)",
+            "(2*s^1.2+1e-160*s^0.7+s^0.5)/(s^1.2+3e-170*s^0.5+4)",
+        ),
+    ]
+    for a, b in pairs:
+        for grid in (FrequencyGrid(), FrequencyGrid(0.01, 100.0, 1250)):
+            for fmt in FORMATS:
+                test = example(parse_tf(a), parse_tf(b), grid, fmt)(test)
+    return test
+
+
 class TestKeptColumns:
     """A kept grid keeps the omega**e columns its sweeps compute; no byte may depend on it."""
 
@@ -890,6 +916,7 @@ class TestKeptColumns:
         FrequencyGrid(),
         "csv",
     )
+    @with_shared_exponent_examples
     def test_functions_sharing_exponents_alternately_give_cold_bytes(self, a, b, grid, fmt):
         cold = [cold_outcome(tf, grid, fmt) for tf in (a, b)]
         response._kept_points.cache_clear()

@@ -94,6 +94,12 @@ class TestValueContract:
             delattr(value, field)
         with pytest.raises(AttributeError):
             value.not_a_field = 1.0
+        # Records share tuple's layout, so only Value.__setattr__ keeps one
+        # from becoming an unchecked record of another class.
+        other = PolarForm if type(value) is Complex else Complex
+        with pytest.raises(AttributeError):
+            value.__class__ = other
+        assert type(value) is type(make())
         assert getattr(value, field) is before
 
     def test_copy_and_pickle_round_trip(self, make, text, field):
