@@ -6,11 +6,13 @@ Complex equality is always tolerance based (componentwise, absolute
 
 import math
 import os
+import random
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import fracfreq
-from fracfreq import Complex, FracPoly, mul
+from fracfreq import Complex, FracPoly, FracTF, mul, parse_tf
 
 
 def close(x: float, y: float, rel: float = 1e-12, abs_tol: float = 1e-12) -> bool:
@@ -102,3 +104,61 @@ def decimal_poly(p: FracPoly, omega: float) -> tuple[Decimal, Decimal, Decimal]:
             im += size * sin
             total += abs(size)
     return re, im, total
+
+
+def fraction_poly(p: FracPoly, omega: float) -> tuple[Fraction, Fraction]:
+    """p at s = j*omega, exactly, for integer exponents: (re, im) by Fraction
+    from the exact doubles of omega and p's terms, j**e being 1, j, -1 or -j."""
+    w, re, im = Fraction(omega), Fraction(0), Fraction(0)
+    for t in p.terms:
+        size = Fraction(t.coeff) * w ** int(t.exponent)
+        quarter = int(t.exponent) % 4
+        if quarter % 2:
+            im += size if quarter == 1 else -size
+        else:
+            re += size if quarter == 0 else -size
+    return re, im
+
+
+def _nearest_root(c: float, d: int) -> float:
+    """The double nearest c**(1/d), for c > 0: the one on the side of the midpoint
+    between the two doubles around the root that the root is on (exact, by Fraction)."""
+    x = c ** (1 / d)
+    while Fraction(x) ** d > c:
+        x = math.nextafter(x, 0.0)
+    while Fraction(math.nextafter(x, math.inf)) ** d <= c:
+        x = math.nextafter(x, math.inf)
+    above = math.nextafter(x, math.inf)
+    return above if ((Fraction(x) + Fraction(above)) / 2) ** d < c else x
+
+
+def hard_points(seed: int, per_family: int) -> list[tuple[str, FracTF, float, bool]]:
+    """(family, 1/D, omega, whether D(j*omega) is exactly 0) at the double
+    nearest a zero of D on the j*omega-axis and at both its neighbours, for
+    per_family seeded denominators of each family:
+
+    - "s^2+b": zero at sqrt(b);
+    - "s^k+-c*s^m": k - m = 2 or 4, the sign -(-1)**((k-m)/2) that makes
+      D = (j*omega)**m * (c - omega**(k-m)) up to sign, zero at c**(1/(k-m));
+    - "s^(a+2)+c*s^a": a in [0.05, 3] at step 0.01, zero at sqrt(c).
+
+    b and c are log-uniform in [1e-3, 1e3] to 4 significant digits.  D is
+    exactly 0 where omega**(k-m) equals c exactly.
+    """
+    rng = random.Random(seed)
+    points = []
+    for family in ("s^2+b", "s^k+-c*s^m", "s^(a+2)+c*s^a"):
+        for _ in range(per_family):
+            c = float(f"{10 ** rng.uniform(-3, 3):.4g}")
+            if family == "s^2+b":
+                text, d = f"1/(s^2+{c!r})", 2
+            elif family == "s^k+-c*s^m":
+                m, d = rng.randint(1, 4), rng.choice((2, 4))
+                text = f"1/(s^{m + d}{'+' if d == 2 else '-'}{c!r}*s^{m})"
+            else:
+                e = rng.randint(205, 500) / 100  # a + 2, and a = e - 2 exactly
+                text, d = f"1/(s^{e!r}+{c!r}*s^{e - 2!r})", 2
+            zero = _nearest_root(c, d)
+            for omega in (math.nextafter(zero, 0.0), zero, math.nextafter(zero, math.inf)):
+                points.append((family, parse_tf(text), omega, Fraction(omega) ** d == c))
+    return points

@@ -21,30 +21,28 @@ from fracfreq import (
     parse_tf,
     sweep,
 )
-from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, main, read_args
+from fracfreq.cli import EXIT_EVAL_ERROR, EXIT_OK, EXIT_PARSE_ERROR, _Exit, _parser, main, read_args
 from helpers import child_env, close
 
 NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 BAD_FD = f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
-# What argparse printed at 80 columns when the CLI was built on it.
-USAGE = """\
-usage: fracfreq [-h] --tf EXPR [--wmin WMIN] [--wmax WMAX] [--ppd PPD]
-                [--format {csv,json}] [--out PATH]
-"""
-HELP = USAGE + """
-Evaluate a fractional-order transfer function over a logarithmic frequency
-grid and emit Bode data.
+# Usage and help are the running Python's argparse's, at 80 columns.
+USAGE = _parser().format_usage()
 
-options:
-  -h, --help           show this help message and exit
-  --tf EXPR            transfer function, e.g. '10000/s^0.5' or
-                       '(3*s^0.5+2)/(s^1.2+1)'
-  --wmin WMIN          lowest angular frequency [rad/s]
-  --wmax WMAX          highest angular frequency [rad/s]
-  --ppd PPD            points per decade
-  --format {csv,json}  output format
-  --out PATH           output file (default: stdout)
-"""
+
+def parse_with_argparse(argv):
+    """What the command line's argparse parser does with argv.
+
+    Returns its six values, or its exit code (0 for help, 2 for a usage
+    error), with what it wrote to stdout and stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def run_main(argv, capsysbinary):
@@ -234,15 +232,13 @@ class TestMain:
         assert (code, out) == (EXIT_PARSE_ERROR, b"")
         assert err.startswith(USAGE + "fracfreq: error: ")
 
-    # The error lines of argparse 3.11, whose wording later versions changed.
+    # The command line writes argparse's own usage error, whose wording
+    # differs between versions; each line starts with what is given here.
     @pytest.mark.parametrize(
         "argv,line",
         [
             ([], "the following arguments are required: --tf"),
-            (
-                ["--tf", "s", "--format", "xml"],
-                "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
-            ),
+            (["--tf", "s", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
             (["--tf", "s", "--ppd", "x"], "argument --ppd: invalid int value: 'x'"),
             (["--tf", "s", "--wmin=1e"], "argument --wmin: invalid float value: '1e'"),
             (["--tf", "-s+1"], "argument --tf: expected one argument"),
@@ -257,11 +253,16 @@ class TestMain:
         ],
     )
     def test_usage_error_line(self, argv, line, capsysbinary):
-        expected = (EXIT_PARSE_ERROR, b"", f"{USAGE}fracfreq: error: {line}\n")
-        assert run_main(argv, capsysbinary) == expected
+        expected, out, err = parse_with_argparse(argv)
+        if isinstance(expected, dict):  # FrequencyGrid's error, after the parser's usage
+            expected, err = EXIT_PARSE_ERROR, f"{USAGE}fracfreq: error: {line}\n"
+        assert run_main(argv, capsysbinary) == (expected, out.encode(), err)
+        if argv != ["-hx"] or expected != EXIT_OK:  # Python 3.13 reads -hx as help
+            assert expected == EXIT_PARSE_ERROR and err.startswith(f"{USAGE}fracfreq: error: {line}")
 
-    # Help goes to standard output, not to --out, and wins over errors that
-    # argparse finds only after it: a missing --tf and unrecognized words.
+    # Help is argparse's: it goes to standard output, not to --out, and wins
+    # over errors that argparse finds only after it: a missing --tf and
+    # unrecognized words.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -271,12 +272,21 @@ class TestMain:
     )
     def test_help(self, argv, tmp_path, monkeypatch, capsysbinary):
         monkeypatch.chdir(tmp_path)
-        assert run_main(argv, capsysbinary) == (EXIT_OK, HELP.encode(), "")
+        help_text = _parser().format_help()
+        assert parse_with_argparse(argv) == (EXIT_OK, help_text, "")
+        assert run_main(argv, capsysbinary) == (EXIT_OK, help_text.encode(), "")
         assert list(tmp_path.iterdir()) == []
+        assert help_text.startswith(USAGE)
+        for line in [
+            "Evaluate a fractional-order transfer function", "--tf EXPR", "'10000/s^0.5'",
+            "--wmin WMIN", "--wmax WMAX", "--ppd PPD", "--format {csv,json}", "--out PATH",
+        ]:
+            assert line in help_text
 
     # "--" ends the options: it and every word after it are unrecognized, as
     # the CLI takes no positional arguments, and it is no option's value.
-    # test_option_given_double_dash_exits_2 pins "--opt=--".
+    # The command line writes argparse's own error; test_option_given_double_dash_exits_2
+    # pins "--opt=--".
     @pytest.mark.parametrize(
         "argv,line",
         [
@@ -288,8 +298,10 @@ class TestMain:
         ],
     )
     def test_double_dash(self, argv, line, capsysbinary):
-        expected = (EXIT_PARSE_ERROR, b"", f"{USAGE}fracfreq: error: {line}\n")
-        assert run_main(argv, capsysbinary) == expected
+        expected, out, err = parse_with_argparse(argv)
+        assert (expected, out) == (EXIT_PARSE_ERROR, "")
+        assert err.startswith(f"{USAGE}fracfreq: error: {line}")
+        assert run_main(argv, capsysbinary) == (EXIT_PARSE_ERROR, b"", err)
 
 
 # Literals include ones that overflow or underflow a double.
@@ -380,42 +392,6 @@ def argvs(draw):
     return argv
 
 
-def parse_with_argparse(argv):
-    """The parser the CLI built with argparse before read_args, run on argv.
-
-    Returns its six values, or its exit code (0 for help, 2 for a usage
-    error), with what it wrote to stdout and stderr at 80 columns.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="fracfreq",
-        description="Evaluate a fractional-order transfer function over a "
-        "logarithmic frequency grid and emit Bode data.",
-        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
-    )
-    parser.add_argument(
-        "--tf",
-        required=True,
-        metavar="EXPR",
-        help="transfer function, e.g. '10000/s^0.5' or '(3*s^0.5+2)/(s^1.2+1)'",
-    )
-    parser.add_argument("--wmin", type=float, help="lowest angular frequency [rad/s]")
-    parser.add_argument("--wmax", type=float, help="highest angular frequency [rad/s]")
-    parser.add_argument("--ppd", type=int, help="points per decade")
-    parser.add_argument("--format", choices=FORMATS, default="csv", help="output format")
-    parser.add_argument("--out", metavar="PATH", default=None, help="output file (default: stdout)")
-    grid = FrequencyGrid()
-    parser.set_defaults(wmin=grid.omega_min, wmax=grid.omega_max, ppd=grid.points_per_decade)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
-
-
 def read_bode(data: bytes, fmt: str) -> list[list[float]]:
     """The rows of CSV or JSON Bode data; raises if data is not that."""
     if fmt == "json":
@@ -443,9 +419,10 @@ class TestArgvFuzz:
                 if code != EXIT_OK:
                     assert out == b""
                     return
-                args = read_args(argv)
-                if args is None:
-                    assert out == HELP.encode()
+                try:
+                    args = read_args(argv)
+                except _Exit as exc:  # help, the one exit of the parser's with code 0
+                    assert exc.args == (EXIT_OK, out.decode(), "")
                     return
                 if args["out"] is not None:
                     assert out == b""
@@ -456,18 +433,22 @@ class TestArgvFuzz:
         rows = read_bode(out, args["format"])
         assert rows and [r[0] for r in rows] == sorted(r[0] for r in rows)
 
-    # The reader follows 3.11's argparse, and 3.10's agrees with it; 3.13's
-    # reads -hx as help, and later ones may change more.
-    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the oracle is argparse 3.10-3.11")
+    # read_args reads the common command line itself and hands any other to
+    # the parser: the values are the parser's wherever it returns some, and
+    # elsewhere the command line's exit code and output are the parser's.
     @settings(deadline=None)
     @given(argvs())
     @example(["--fo", "json", "--tf=s", "--pp=3"])
     @example(["--tf", "s", "--w=1"])
     @example(["--tf", "-.5", "--wmin", "-1"])
     @example(["-h", "--tf"])
+    @example(["--tf", "s", "--format", "xml", "--format", "csv"])
+    @example(["--ppd", "x", "--tf=s", "--ppd=3", "--tf", ""])
+    @example(["--tf", "s", "--out"])
     def test_reader_agrees_with_argparse(self, argv):
-        # argparse's handling of "--" differs between versions; test_double_dash pins the reader's.
-        assume(not any(word == "--" or word.endswith("=--") for word in argv))
+        # argparse 3.10-3.11 stores [] for an attached "--";
+        # test_option_given_double_dash_exits_2 pins the command line's outcome.
+        assume(not any(word.endswith("=--") for word in argv))
         expected, out, err = parse_with_argparse(argv)
         if isinstance(expected, dict):
             # by repr, so that a nan equals a nan and 1.0 differs from 1
@@ -543,6 +524,26 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
 
+    def test_common_run_loads_no_argparse(self, tmp_path):
+        # read_args reads the bench's command lines itself: argparse and the
+        # gettext and locale it loads would add ~3-6 ms to every run.
+        argvs = [
+            ["--tf", "(3*s^0.5+2)/(s^1.2+1)", "--format", "json", "--out", str(tmp_path / "out.json")],
+            ["--tf", "10000/s^0.5", "--format", "csv"],
+        ]
+        code = (
+            "import sys; before = set(sys.modules); from fracfreq import cli; "
+            f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+            "loaded = (set(sys.modules) - before) & {'argparse', 'gettext', 'locale'}; "
+            "print(codes, sorted(loaded), file=sys.stderr)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()
+        )
+        assert result.stderr.decode() == "[0, 0] []\n"
+        assert result.stdout.startswith(CSV_HEADER.encode())
+        assert (tmp_path / "out.json").read_bytes().startswith(b"[")
+
     def test_package_imports_only_the_standard_library(self):
         # No runtime dependency: every public name and the command line load
         # only the standard library and fracfreq, whatever else is installed.
@@ -601,12 +602,14 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
 
+    # Help goes through the same writer as the Bode data.
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-    @pytest.mark.parametrize("ppd", ["20", "1"])
-    def test_stdout_on_full_device_exits_2(self, ppd):
+    @pytest.mark.parametrize("argv", [["--tf", "s", "--ppd", "20"], ["--tf", "s", "--ppd", "1"], ["-h"]],
+                             ids=["20", "1", "help"])
+    def test_stdout_on_full_device_exits_2(self, argv):
         with open("/dev/full", "wb") as full:
             result = subprocess.run(
-                [sys.executable, "-m", "fracfreq", "--tf", "s", "--ppd", ppd],
+                [sys.executable, "-m", "fracfreq", *argv],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 timeout=60,
@@ -618,17 +621,19 @@ class TestEntryPoint:
 
     def test_closed_stdout_exits_2(self):
         # With file descriptor 1 closed the interpreter sets sys.stdout to None.
-        result = subprocess.run(
-            ["sh", "-c", 'exec "$0" -m fracfreq --tf s >&-', sys.executable],
-            stderr=subprocess.PIPE,
-            timeout=60,
-            env=child_env(),
-        )
-        assert result.returncode == 2
-        assert result.stderr.decode() == f"fracfreq: error: cannot write output: {BAD_FD}\n"
+        # Help goes through the same writer as the Bode data.
+        for args in ["--tf s", "-h"]:
+            result = subprocess.run(
+                ["sh", "-c", f'exec "$0" -m fracfreq {args} >&-', sys.executable],
+                stderr=subprocess.PIPE,
+                timeout=60,
+                env=child_env(),
+            )
+            assert result.returncode == 2
+            assert result.stderr.decode() == f"fracfreq: error: cannot write output: {BAD_FD}\n"
 
-    # An attached "--" is taken verbatim, on every Python: an expression
-    # that does not parse, a format that is no choice, or a file named "--".
+    # "--opt=--" exits the same way on every Python: an expression that does
+    # not parse, a usage error for the format, or a file named "--".
     @pytest.mark.parametrize(
         "argv,name",
         [(["--tf=--"], "tf"), (["--tf", "s", "--format=--"], "format"), (["--tf", "s", "--out=--"], "out")],
@@ -650,9 +655,9 @@ class TestEntryPoint:
         err = result.stderr.decode()
         if name == "tf":
             assert err == "fracfreq: error: expected number or 's', found '-' (offset 1)\n"
-        else:
-            line = "argument --format: invalid choice: '--' (choose from 'csv', 'json')"
-            assert err == f"{USAGE}fracfreq: error: {line}\n"
+        else:  # argparse's one error line: "invalid choice", or "expected one argument" where it stores []
+            assert err.startswith(f"{USAGE}fracfreq: error: argument --format: ")
+            assert err.count("\n") == USAGE.count("\n") + 1
         assert list(tmp_path.iterdir()) == []
 
     # With file descriptor 2 closed, the error line is lost but not the exit code.

@@ -2,7 +2,9 @@ import math
 import pickle
 import re
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given
@@ -34,7 +36,7 @@ from fracfreq import (
     sweep,
 )
 from fracfreq.tf import rows
-from helpers import REFERENCE, close, complex_close, decimal_poly
+from helpers import REFERENCE, close, complex_close, decimal_poly, fraction_poly, hard_points
 
 
 def tf_of(num_terms, den_terms) -> FracTF:
@@ -633,6 +635,52 @@ class TestKernelAgainstDecimalReference:
                 return
             err = ((Decimal(h.re) - h_re) ** 2 + (Decimal(h.im) - h_im) ** 2).sqrt()
             assert err <= bound
+
+
+def _right(h: Complex, tf: FracTF, omega: float) -> bool:
+    """Whether h is within 1e-12 of N/D at s = j*omega, relative in norm: by
+    Fraction when every exponent is an integer, else by decimal_poly."""
+    num, den = tf
+    if all(t.exponent.is_integer() for t in num.terms + den.terms):
+        (n_re, n_im), (d_re, d_im) = fraction_poly(num, omega), fraction_poly(den, omega)
+        h_re, h_im, tol = Fraction(h.re), Fraction(h.im), Fraction(1, 10**24)
+    else:
+        (n_re, n_im, _), (d_re, d_im, _) = decimal_poly(num, omega), decimal_poly(den, omega)
+        h_re, h_im, tol = Decimal(h.re), Decimal(h.im), Decimal("1e-24")
+    with localcontext(REFERENCE):
+        d_sq = d_re * d_re + d_im * d_im
+        re, im = (n_re * d_re + n_im * d_im) / d_sq, (n_im * d_re - n_re * d_im) / d_sq
+        return (h_re - re) ** 2 + (h_im - im) ** 2 <= tol * (re * re + im * im)
+
+
+class TestHardInputCensus:
+    """A ratchet on the outcomes next to a zero of D on the j*omega-axis,
+    where D keeps few correct digits or none.
+
+    Each of hard_points' families is counted: right (within 1e-12), silently
+    wrong, refused although the true value is finite, and refused where D is
+    exactly 0.  The pins are the counts of the evaluator as it stands: right
+    may rise, and wrong and wrongly refused may fall, without a failure.
+    """
+
+    # family: (right, at least; wrong, at most; refused with a finite value, at most)
+    PINS = {"s^2+b": (0, 247, 53), "s^k+-c*s^m": (0, 266, 34), "s^(a+2)+c*s^a": (0, 270, 30)}
+
+    def test_outcomes_at_hard_points(self):
+        counts = {family: Counter() for family in self.PINS}
+        for family, tf, omega, at_zero in hard_points(2101, 100):
+            try:
+                h = eval_tf(tf, omega)
+            except EvaluationError:
+                counts[family]["refused correctly" if at_zero else "refused"] += 1
+            else:
+                counts[family]["right" if not at_zero and _right(h, tf, omega) else "wrong"] += 1
+        for family, (right, wrong, refused) in self.PINS.items():
+            got = counts[family]
+            assert sum(got.values()) == 300
+            assert got["right"] >= right and got["wrong"] <= wrong and got["refused"] <= refused, (
+                family, dict(got)
+            )
 
 
 class TestScaledDivision:
